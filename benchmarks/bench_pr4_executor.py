@@ -21,7 +21,7 @@ Three workloads, matching the acceptance criteria of the zero-copy PR:
    recorded together with ``cpu_count`` — on a single-core host the
    pool cannot beat serial and the number says so honestly.
 3. **Vectorized edge partition** — the single sort+bincount scan of
-   ``_partition_edges`` against the ``num_cards`` boolean sweeps it
+   ``shard_slices`` against the ``num_cards`` boolean sweeps it
    replaced.
 
 Every run re-verifies byte-identity along the way (cached oracle report
@@ -41,8 +41,9 @@ import numpy as np
 
 from repro.bench import RunCache, load
 from repro.bench.benchio import write_bench_json
-from repro.core import AmstConfig, run_scale_out
-from repro.core.scale_out import _partition_edges, partition_vertices
+from repro.core import Amst, AmstConfig
+from repro.fabric import partition_vertices, run_fabric
+from repro.fabric.partition import shard_slices
 from repro.verify.oracle import run_oracle
 
 
@@ -83,28 +84,27 @@ def bench_scale_out_phase1(graph, cards: int, jobs: int,
                            rounds: int) -> dict:
     cfg = AmstConfig.full(16, cache_vertices=4096)
 
-    one_s, one = _best_of(lambda: run_scale_out(graph, 1, cfg), 1)
+    one = Amst(cfg).run(graph).report.seconds  # the single-card run
     serial_s, serial = _best_of(
-        lambda: run_scale_out(graph, cards, cfg), rounds)
+        lambda: run_fabric(graph, cards, cfg), rounds)
     pooled_s, pooled = _best_of(
-        lambda: run_scale_out(graph, cards, cfg, jobs=jobs), rounds)
+        lambda: run_fabric(graph, cards, cfg, jobs=jobs), rounds)
 
     np.testing.assert_array_equal(serial.result.edge_ids,
                                   pooled.result.edge_ids)
-    assert serial.report.local_seconds == pooled.report.local_seconds
+    assert serial.local_seconds == pooled.local_seconds
     return {
         "cards": cards,
         "jobs": jobs,
-        "modelled_local_s_1card": one.report.local_seconds,
-        "modelled_local_s": serial.report.local_seconds,
-        "modelled_phase1_speedup": (one.report.local_seconds
-                                    / serial.report.local_seconds),
+        "modelled_local_s_1card": one,
+        "modelled_local_s": serial.local_seconds,
+        "modelled_phase1_speedup": one / serial.local_seconds,
         "host_total_serial_s": serial_s,
         "host_total_jobs_s": pooled_s,
-        "host_phase1_serial_s": serial.report.host_phase1_seconds,
-        "host_phase1_jobs_s": pooled.report.host_phase1_seconds,
-        "host_phase1_speedup": (serial.report.host_phase1_seconds
-                                / pooled.report.host_phase1_seconds),
+        "host_phase1_serial_s": serial.host_phase1_seconds,
+        "host_phase1_jobs_s": pooled.host_phase1_seconds,
+        "host_phase1_speedup": (serial.host_phase1_seconds
+                                / pooled.host_phase1_seconds),
         "byte_identical": True,
     }
 
@@ -115,19 +115,16 @@ def bench_partition(graph, rounds: int) -> list[dict]:
     The sweep cost is O(cards * m); the sort-based scan is O(m log m)
     once — a wash at 4 cards, an order of magnitude beyond 16.
     """
-    u, v, _ = graph.edge_endpoints()
+    u, _, _ = graph.edge_endpoints()
     results = []
     for cards in (4, 16, 64):
-        part = partition_vertices(graph.num_vertices, cards)
-        edge_card = part[u]
-        internal = edge_card == part[v]
+        edge_card = partition_vertices(graph.num_vertices, cards)[u]
 
         def legacy():
-            return [np.flatnonzero(internal & (edge_card == c))
-                    for c in range(cards)]
+            return [np.flatnonzero(edge_card == c) for c in range(cards)]
 
         def vectorized():
-            return _partition_edges(edge_card, internal, cards)
+            return shard_slices(edge_card, cards)
 
         legacy_s, per_card = _best_of(legacy, rounds * 3)
         vec_s, (sorted_eids, bounds) = _best_of(vectorized, rounds * 3)

@@ -25,7 +25,8 @@ import pytest
 
 from repro.bench import load
 from repro.bench.runner import ExperimentResult
-from repro.core import AmstConfig, run_scale_out
+from repro.core import AmstConfig
+from repro.fabric import run_fabric
 
 
 def bench_scale_out(benchmark, record_table, scale, seed, cache_vertices):
@@ -40,20 +41,21 @@ def bench_scale_out(benchmark, record_table, scale, seed, cache_vertices):
         cfg = AmstConfig.full(16, cache_vertices=cache_vertices)
         base = None
         for cards in (1, 2, 4, 8):
-            r = run_scale_out(g, cards, cfg)
-            total = r.report.total_seconds
+            run = run_fabric(g, cards, cfg)
+            exchange = run.network.reduce_seconds
+            total = run.local_seconds + exchange + run.merge_seconds
             if base is None:
                 base = total
             per_card = max(
-                o.state.graph.num_edges for o in r.report.local_outputs)
+                o.state.graph.num_edges for o in run.local_outputs)
             res.add_row(
                 cards,
                 per_card,
-                round(r.report.local_seconds * 1e3, 3),
-                round(r.report.exchange_seconds * 1e3, 3),
-                round(r.report.merge_seconds * 1e3, 3),
+                round(run.local_seconds * 1e3, 3),
+                round(exchange * 1e3, 3),
+                round(run.merge_seconds * 1e3, 3),
                 round(total * 1e3, 3),
-                r.report.cut_edges,
+                run.plan.stats.cut_edges,
                 round(base / total, 2),
             )
         res.add_note(

@@ -390,13 +390,6 @@ def _gates(records: list[RunRecord]) -> ReportTable:
             ]
             if speedups:
                 headline = "incremental vs full: " + ", ".join(speedups)
-        elif family == "BENCH_kernels":
-            e2e = [k for k in rec.metrics
-                   if k.startswith("end_to_end") and
-                   k.endswith(".speedup")]
-            if e2e:
-                headline = "end-to-end numba speedup: " + ", ".join(
-                    f"{rec.metrics[k]:.1f}x" for k in sorted(e2e))
         elif family == "BENCH_pr4":
             warm = rec.metrics.get("oracle.warm_speedup")
             if warm is not None:

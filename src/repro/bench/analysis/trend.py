@@ -46,7 +46,7 @@ __all__ = [
 DEFAULT_TREND_SKIP_PREFIXES: tuple[str, ...] = (
     "host.", "criteria.", "seed", "size", "batches", "batch_size",
     "min_speedup", "cards", "rounds", "scale", "dataset.",
-    "skipped", "numba",
+    "skipped",
 )
 
 #: cumulative same-direction change that counts as drift

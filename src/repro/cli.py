@@ -105,8 +105,6 @@ def _cmd_run_body(args: argparse.Namespace, tel) -> int:
     g = load(args.dataset, seed=args.seed, size=args.scale)
     cache = args.cache_vertices or default_cache_vertices(args.scale)
     cfg = AmstConfig.full(args.parallelism, cache_vertices=cache)
-    if args.backend != "auto":
-        cfg = cfg.with_(backend=args.backend)
     if args.self_check:
         cfg = cfg.with_(self_check=True)
     if tel is not None:
@@ -153,17 +151,14 @@ def _cmd_run_body(args: argparse.Namespace, tel) -> int:
     if args.validate:
         from .mst import kruskal, validate_mst
 
-        validate_mst(g, out.result,
-                     reference=reference or kruskal(g, backend=args.backend))
+        validate_mst(g, out.result, reference=reference or kruskal(g))
         print("validation   : forest matches Kruskal (weight-exact)")
     if args.self_check:
         print("self-check   : invariants held every iteration "
               "(union-find, caches, event ledger)")
     if args.profile_host:
         print()
-        resolved = getattr(out.state.kernels, "backend", cfg.backend)
-        print(format_host_profile(r.extra["host_timing"],
-                                  backend=resolved), end="")
+        print(format_host_profile(r.extra["host_timing"]), end="")
     if tel is not None:
         tel.record_output(out)
         tel.summary = {
@@ -242,8 +237,6 @@ def _cmd_verify_body(args: argparse.Namespace, tel) -> int:
               f"available: {', '.join(GOLDEN_CASES)}")
         return 2
 
-    backend = None if args.backend == "auto" else args.backend
-
     if args.update_golden:
         for path in update_golden(
             names, directory=args.golden_dir, jobs=args.jobs
@@ -266,16 +259,14 @@ def _cmd_verify_body(args: argparse.Namespace, tel) -> int:
     if not args.skip_oracle:
         for name in names:
             graph = GOLDEN_CASES[name].graph_fn()
-            report = run_oracle(graph, cache=cache, jobs=args.jobs,
-                                backend=backend)
+            report = run_oracle(graph, cache=cache, jobs=args.jobs)
             status = "ok" if report.ok else "MISMATCH"
             print(f"oracle {name:<18s} {status}")
             if not report.ok:
                 failures += 1
                 print(report.format())
 
-    diffs = check_golden(names, directory=args.golden_dir, jobs=args.jobs,
-                         backend=backend)
+    diffs = check_golden(names, directory=args.golden_dir, jobs=args.jobs)
     drifted = {d.name for d in diffs}
     for name in names:
         status = "DRIFT" if name in drifted else "ok"
@@ -312,13 +303,11 @@ def _cmd_scaleout(args: argparse.Namespace) -> int:
 
 def _cmd_scaleout_body(args: argparse.Namespace, tel) -> int:
     """Partitioned multi-card run with optional parallel phase 1."""
-    from .core import run_scale_out
+    from .fabric import run_fabric
 
     g = load(args.dataset, seed=args.seed, size=args.scale)
     cache = args.cache_vertices or default_cache_vertices(args.scale)
     cfg = AmstConfig.full(args.parallelism, cache_vertices=cache)
-    if args.backend != "auto":
-        cfg = cfg.with_(backend=args.backend)
     if tel is not None:
         from .bench.runcache import config_fingerprint, graph_fingerprint
 
@@ -326,51 +315,49 @@ def _cmd_scaleout_body(args: argparse.Namespace, tel) -> int:
             graph_fingerprint=graph_fingerprint(g),
             config_fingerprint=config_fingerprint(cfg),
         )
-    r = run_scale_out(g, args.cards, cfg, strategy=args.strategy,
-                      partitioner=args.partitioner,
-                      net_profile=args.net_profile, jobs=args.jobs)
-    rep = r.report
+    fab = run_fabric(g, args.cards, cfg, partitioner=args.partitioner,
+                     net_profile=args.net_profile, jobs=args.jobs)
+    plan, net, forest = fab.plan, fab.network, fab.result
     if tel is not None:
-        tel.record_output(rep.merge_output)
+        tel.record_output(fab.merge_output)
         tel.summary = {
             "dataset": args.dataset,
-            "cards": rep.num_cards,
-            "partitioner": rep.partitioner,
-            "net_profile": rep.net_profile,
-            "cut_edges": rep.cut_edges,
-            "rounds": rep.num_rounds,
-            "messages": rep.messages,
-            "message_bytes": rep.message_bytes,
-            "forest_edges": int(r.result.num_edges),
-            "total_weight": float(r.result.total_weight),
+            "cards": plan.num_cards,
+            "partitioner": plan.name,
+            "net_profile": fab.profile.name,
+            "cut_edges": plan.stats.cut_edges,
+            "rounds": len(fab.rounds),
+            "messages": net.total_messages,
+            "message_bytes": net.total_bytes,
+            "forest_edges": int(forest.num_edges),
+            "total_weight": float(forest.total_weight),
         }
+    exchange_s = net.reduce_seconds
+    total_s = fab.local_seconds + exchange_s + fab.merge_seconds
     print(f"dataset      : {args.dataset} "
           f"(n={g.num_vertices:,}, m={g.num_edges:,})")
-    print(f"cards        : {rep.num_cards} ({rep.partitioner} partition, "
+    print(f"cards        : {plan.num_cards} ({plan.name} partition, "
           f"jobs={args.jobs})")
-    print(f"forest       : {r.result.num_edges:,} edges, "
-          f"weight {r.result.total_weight:,.0f}, "
-          f"{r.result.num_components} component(s)")
-    print(f"cut edges    : {rep.cut_edges:,} "
-          f"({100 * rep.partition_stats.get('cut_fraction', 0.0):.1f}% "
-          f"of edges)" if rep.partition_stats else
-          f"cut edges    : {rep.cut_edges:,}")
-    print(f"fabric       : {rep.num_rounds} round(s), "
-          f"{rep.messages:,} message(s), {rep.message_bytes:,} bytes, "
-          f"{rep.boundary_edges:,} boundary record(s)")
-    print(f"network      : {rep.net_profile} — scatter "
-          f"{rep.scatter_seconds * 1e3:.3f} ms, reduce "
-          f"{rep.exchange_seconds * 1e3:.3f} ms")
-    print(f"modelled time: local {rep.local_seconds * 1e3:.3f} ms + "
-          f"exchange {rep.exchange_seconds * 1e3:.3f} ms + "
-          f"merge {rep.merge_seconds * 1e3:.3f} ms = "
-          f"{rep.total_seconds * 1e3:.3f} ms")
-    print(f"host phase 1 : {rep.host_phase1_seconds:.3f} s wall clock")
-    print(f"energy       : {rep.energy_joules * 1e3:.3f} mJ")
+    print(f"forest       : {forest.num_edges:,} edges, "
+          f"weight {forest.total_weight:,.0f}, "
+          f"{forest.num_components} component(s)")
+    print(f"cut edges    : {plan.stats.cut_edges:,} "
+          f"({100 * plan.stats.cut_fraction:.1f}% of edges)")
+    print(f"fabric       : {len(fab.rounds)} round(s), "
+          f"{net.total_messages:,} message(s), {net.total_bytes:,} bytes, "
+          f"{fab.boundary_edges:,} boundary record(s)")
+    print(f"network      : {fab.profile.name} — scatter "
+          f"{net.scatter_seconds * 1e3:.3f} ms, reduce "
+          f"{exchange_s * 1e3:.3f} ms")
+    print(f"modelled time: local {fab.local_seconds * 1e3:.3f} ms + "
+          f"exchange {exchange_s * 1e3:.3f} ms + "
+          f"merge {fab.merge_seconds * 1e3:.3f} ms = {total_s * 1e3:.3f} ms")
+    print(f"host phase 1 : {fab.host_phase1_seconds:.3f} s wall clock")
+    print(f"energy       : {fab.energy_joules * 1e3:.3f} mJ")
     if args.validate:
         from .mst import kruskal, validate_mst
 
-        validate_mst(g, r.result, reference=kruskal(g))
+        validate_mst(g, forest, reference=kruskal(g))
         print("validation   : forest matches Kruskal (weight-exact)")
     return 0
 
@@ -398,8 +385,7 @@ def _cmd_update_body(args: argparse.Namespace, tel) -> int:
         g,
         config=IncrementalConfig(
             fallback_fraction=args.fallback_fraction),
-        cache=cache,
-        backend=None if args.backend == "auto" else args.backend)
+        cache=cache)
     if tel is not None:
         from .bench.runcache import graph_fingerprint
 
@@ -788,15 +774,6 @@ def _cmd_resources(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_backend_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", default="auto",
-                   choices=["auto", "numpy", "numba", "python"],
-                   help="kernel execution tier (docs/PERFORMANCE.md "
-                        "'Compiled kernel tier'); auto = numba when "
-                        "installed, else numpy — results are identical "
-                        "on every tier")
-
-
 def _add_telemetry_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--telemetry", action="store_true",
                    help="record run-scoped metrics + trace; write "
@@ -830,7 +807,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="validate simulator invariants every iteration")
     pr.add_argument("--profile-host", action="store_true",
                     help="print host wall-clock per stage/subsystem/kernel")
-    _add_backend_flag(pr)
     _add_telemetry_flags(pr)
     pr.set_defaults(func=_cmd_run)
 
@@ -860,7 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="worker processes (1 = run inline)")
     pv.add_argument("--no-cache", action="store_true",
                     help="disable the content-addressed run cache")
-    _add_backend_flag(pv)
     _add_telemetry_flags(pv)
     pv.set_defaults(func=_cmd_verify)
 
@@ -889,7 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="disable the delta/run cache")
     pi.add_argument("--validate", action="store_true",
                     help="check the final forest against Kruskal")
-    _add_backend_flag(pi)
     _add_telemetry_flags(pi)
     pi.set_defaults(func=_cmd_update)
 
@@ -918,13 +892,9 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--dataset", default="CF",
                     help="Table I tag (EF/GD/CD/CL/RC/RP/RT/UR/CF/UU)")
     po.add_argument("--cards", type=int, default=4)
-    po.add_argument("--partitioner", default=None,
+    po.add_argument("--partitioner", default="range",
                     choices=list(list_partitioners()),
-                    help="fabric partitioner (default: range; "
-                         "docs/SCALE_OUT.md)")
-    po.add_argument("--strategy", default=None,
-                    choices=["block", "hash"],
-                    help="legacy alias for --partitioner range/hash")
+                    help="fabric partitioner (docs/SCALE_OUT.md)")
     po.add_argument("--net-profile", default="pcie3",
                     choices=list(list_net_profiles()),
                     help="inter-card network model for the modelled "
@@ -938,7 +908,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "(1 = run serially)")
     po.add_argument("--validate", action="store_true",
                     help="check the forest against Kruskal")
-    _add_backend_flag(po)
     _add_telemetry_flags(po)
     po.set_defaults(func=_cmd_scaleout)
 

@@ -75,7 +75,6 @@ class Amst:
         preprocessed: PreprocessResult | None = None,
         max_iterations: int | None = None,
         telemetry=None,
-        backend: str | None = None,
     ) -> AmstOutput:
         """Compute the minimum spanning forest of ``graph``.
 
@@ -89,24 +88,14 @@ class Amst:
         records a run → iteration → stage → subsystem span tree and is
         strictly read-only: the result is byte-identical with telemetry
         on or off.
-
-        ``backend`` overrides ``config.backend`` for this run only —
-        the kernel execution tier (``"auto"``/``"numpy"``/``"numba"``/
-        ``"python"``, see :mod:`repro.kernels`); results are identical
-        across backends, only host speed changes.
         """
-        cfg = (
-            self.config
-            if backend is None
-            else self.config.with_(backend=backend)
-        )
+        cfg = self.config
         tel = telemetry if telemetry is not None else current_telemetry()
         run_scope = (
             tel.spans.span(
                 "amst.run", category="run",
                 n=graph.num_vertices, m=graph.num_edges,
                 parallelism=cfg.parallelism,
-                backend=cfg.backend,
             )
             if tel is not None
             else nullcontext()

@@ -130,10 +130,7 @@ def run_compressing(
 
     # ---- functional commit (kernel tier) --------------------------------
     # Roots first (so leaves resolve in two hops), then leaves.
-    kern = state.kernels
-    if kern is None:  # states built outside SimState.initial
-        from ..kernels import numpy_impl as kern
-    new_parent = kern.cm_commit(parent, roots, root_final, leaf_ids)
+    new_parent = state.kernels.cm_commit(parent, roots, root_final, leaf_ids)
     state.parent = new_parent
     state.fresh_at[roots] = state.iteration
     state.fresh_at[leaf_ids] = state.iteration

@@ -68,9 +68,6 @@ class AmstConfig:
     # --- verification (docs/TESTING.md) ---
     self_check: bool = False  # validate invariants every iteration
 
-    # --- host execution tier (docs/PERFORMANCE.md "Compiled kernel tier") ---
-    backend: str = "auto"  # "auto" | "numpy" | "numba" | "python"
-
     # --- memory geometry ---
     edge_bytes: int = 8  # 4B dest + 4B weight (Section VI-A-2)
     parent_bytes: int = 4  # vertex id (+ packed IV/it_idx bits)
@@ -93,10 +90,6 @@ class AmstConfig:
             raise ValueError("hash cache requires a non-zero capacity")
         if self.lru_cache and not self.use_hdc:
             raise ValueError("lru_cache requires use_hdc")
-        if self.backend not in ("auto", "numpy", "numba", "python"):
-            raise ValueError(
-                "backend must be one of 'auto', 'numpy', 'numba', 'python'"
-            )
 
     # ------------------------------------------------------------------
     # presets

@@ -104,16 +104,13 @@ def run_finding(state: SimState, ev: IterationEvents) -> FindingOutput:
     # the examined prefix (SEW stops after the first external edge) and
     # the candidate selection — min (weight, eid) external edge without
     # SEW, on which path alone the weight/eid arrays are read.
-    kern = state.kernels
-    if kern is None:  # states built outside SimState.initial
-        from ..kernels import numpy_impl as kern
     if cfg.sort_edges_by_weight:
         w_flat = np.empty(0, np.float64)
         eid_flat = np.empty(0, np.int64)
     else:
         w_flat = g.weight[flat]
         eid_flat = g.eid[flat]
-    first, found, exam_end, cand_local = kern.fm_scan(
+    first, found, exam_end, cand_local = state.kernels.fm_scan(
         external, offsets, seg_id, w_flat, eid_flat,
         cfg.sort_edges_by_weight,
     )

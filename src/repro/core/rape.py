@@ -82,10 +82,7 @@ def run_rape(state: SimState, ev: IterationEvents) -> RapeOutput:
     ev.add("rape.compares", cand.size * (2 if cfg.merge_rm_am else 3))
 
     # ---- Stage 2: mirror removal (kernel tier) ---------------------------
-    kern = state.kernels
-    if kern is None:  # states built outside SimState.initial
-        from ..kernels import numpy_impl as kern
-    mirror = kern.rape_mirrors(state.me_eid, cand, tgt)
+    mirror = state.kernels.rape_mirrors(state.me_eid, cand, tgt)
     keep = cand[~mirror]
     ev.add("rape.mirrors_removed", int(np.count_nonzero(mirror)))
 

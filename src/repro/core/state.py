@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..kernels.dispatch import KernelDispatch, make_dispatch
+from ..kernels.dispatch import KernelDispatch
 from ..memory.direct_cache import DirectHDVCache
 from ..memory.hash_cache import HashHDVCache
 from ..memory.hbm import HBMModel
@@ -39,7 +39,7 @@ from .timing import HostTimers
 __all__ = ["SimState"]
 
 
-def _make_cache(cfg: AmstConfig, n: int, kernels: KernelDispatch | None = None):
+def _make_cache(cfg: AmstConfig, n: int, kernels: KernelDispatch):
     if not cfg.use_hdc:
         return DirectHDVCache(0, n)  # capacity 0 == everything off-chip
     if cfg.lru_cache:
@@ -65,9 +65,9 @@ class SimState:
     parent_cache: object
     minedge_cache: object
     hbm: HBMModel
+    kernels: KernelDispatch  # counted, timed kernel calls (repro.kernels)
     iteration: int = 0
     timers: HostTimers = field(default_factory=HostTimers)
-    kernels: KernelDispatch | None = None  # backend dispatch (see repro.kernels)
 
     def __setattr__(self, name: str, value) -> None:
         # Rebinding the Parent array (the Compressing Module does this
@@ -81,7 +81,7 @@ class SimState:
     def initial(cls, graph: CSRGraph, cfg: AmstConfig) -> "SimState":
         n = graph.num_vertices
         timers = HostTimers()
-        kernels = make_dispatch(cfg.backend, timers)
+        kernels = KernelDispatch(timers)
         return cls(
             graph=graph,
             cfg=cfg,
@@ -119,19 +119,10 @@ class SimState:
         return cached
 
     def _recompute_roots(self) -> np.ndarray:
-        """Uncached root resolution through the backend kernel tier.
-
-        The NumPy tier chases only still-unresolved vertices with
-        pointer doubling (O(unresolved · log depth)); the compiled tier
-        path-compresses a scratch copy directly.  Both return the same
-        fixed point byte for byte (``tests/verify/test_kernel_identity``).
-        """
-        kernels = self.kernels
-        if kernels is None:  # direct construction without a dispatcher
-            from ..kernels import numpy_impl
-
-            return numpy_impl.resolve_roots(self.parent)
-        return kernels.resolve_roots(self.parent)
+        """Uncached root resolution through the ``resolve_roots`` kernel:
+        chases only still-unresolved vertices with pointer doubling
+        (O(unresolved · log depth))."""
+        return self.kernels.resolve_roots(self.parent)
 
     def write_parent(self, ids: np.ndarray, values: np.ndarray) -> None:
         """Hardware Parent write: update entries, invalidate the memo."""

@@ -108,15 +108,8 @@ class TimedSubsystem:
         return value
 
 
-def format_host_profile(
-    timers, *, counts_only: bool = False, backend: str | None = None
-) -> str:
+def format_host_profile(timers, *, counts_only: bool = False) -> str:
     """Fixed-width table of host time per stage, subsystem and kernel.
-
-    ``backend`` (when given) prints a ``backend = <tier>`` line under the
-    header, so NumPy-vs-Numba attribution of the ``kernel.*`` rows is
-    visible in the same output (``amst run --backend numba
-    --profile-host``).
 
     Accepts either a :class:`HostTimers` or its :meth:`~HostTimers.snapshot`
     dict (the form ``PerfReport.extra["host_timing"]`` carries).  Stage
@@ -144,8 +137,6 @@ def format_host_profile(
     else:
         lines = ["host profile (wall-clock, simulator itself)",
                  "--------------------------------------------"]
-    if backend is not None:
-        lines.append(f"backend = {backend}")
     header_len = len(lines)
     for prefix, title in (
         ("stage.", "per stage"),

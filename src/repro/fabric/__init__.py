@@ -3,8 +3,9 @@
 Per-card worker processes over shm-published edge shards, typed
 inter-card messages grouped into synchronization rounds, an explicit
 network model (bandwidth/latency/topology → modelled transfer time),
-and a pluggable partitioner registry.  ``repro.core.run_scale_out`` and
-``amst scaleout`` run on top of this package; see docs/SCALE_OUT.md.
+and a pluggable partitioner registry.  :func:`run_fabric` is the one
+multi-card entry point; ``amst scaleout`` runs on top of it.  See
+docs/SCALE_OUT.md.
 """
 
 from .fabric import FabricError, FabricRun, run_fabric

@@ -174,6 +174,12 @@ class FabricRun:
         return (self.local_seconds + self.network.total_seconds
                 + self.merge_seconds)
 
+    @property
+    def energy_joules(self) -> float:
+        """Modelled energy of every card's local run plus the merge run."""
+        local = sum(o.report.energy_joules for o in self.local_outputs)
+        return local + self.merge_output.report.energy_joules
+
 
 def run_fabric(
     graph: CSRGraph,

@@ -129,24 +129,6 @@ def shard_slices(
     return sorted_eids, bounds
 
 
-def _partition_edges(
-    edge_card: np.ndarray, internal: np.ndarray, num_cards: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Masked variant of :func:`shard_slices` (pre-fabric call shape).
-
-    Kept for the benchmark-trajectory scripts: only edges flagged in
-    ``internal`` are sharded; the rest are left out of every slice.
-    """
-    internal_eids = np.flatnonzero(internal)
-    cards = edge_card[internal_eids]
-    order = np.argsort(cards, kind="stable")
-    sorted_eids = internal_eids[order]
-    counts = np.bincount(cards, minlength=num_cards)
-    bounds = np.zeros(num_cards + 1, dtype=np.int64)
-    np.cumsum(counts[:num_cards], out=bounds[1:])
-    return sorted_eids, bounds
-
-
 @dataclass(frozen=True)
 class PartitionStats:
     """Cut-quality figures of one plan (the sweep's comparison axes)."""

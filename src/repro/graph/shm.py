@@ -1,7 +1,7 @@
 """Zero-copy shared-memory publication of graphs and arrays.
 
 The multi-run surfaces — ``amst bench/sweep --jobs N``, the oracle
-harness, golden-trace recomputation and multi-card ``run_scale_out`` —
+harness, golden-trace recomputation and multi-card ``run_fabric`` —
 all fan independent simulator runs over a process pool, and before this
 module every task shipped its input arrays through the pool by pickling
 (multi-MB copies per task) or rebuilt the graph from scratch inside the

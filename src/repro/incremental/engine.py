@@ -147,9 +147,6 @@ class IncrementalMst:
     cache:
         Optional :class:`~repro.bench.runcache.RunCache` for the
         ``delta:`` tier and the cached full recompute.
-    backend:
-        Kernel tier for full recomputes (``None`` = reference NumPy
-        path; results are byte-identical on every tier).
     """
 
     def __init__(
@@ -158,11 +155,9 @@ class IncrementalMst:
         *,
         config: IncrementalConfig | None = None,
         cache: RunCache | None = None,
-        backend: str | None = None,
     ) -> None:
         self.config = config or IncrementalConfig()
         self.cache = cache
-        self.backend = backend
         self.dyn = DynamicGraph(graph)
         self.totals = _Totals()
         n = graph.num_vertices
@@ -326,7 +321,7 @@ class IncrementalMst:
 
     def verify_against_oracle(self) -> None:
         """Byte-identity against from-scratch Kruskal; raises on drift."""
-        expected = kruskal(self.graph(), backend=self.backend)
+        expected = kruskal(self.graph())
         got = self.forest()
         if (not np.array_equal(got.edge_ids, expected.edge_ids)
                 or repr(got.total_weight) != repr(expected.total_weight)
@@ -416,11 +411,9 @@ class IncrementalMst:
     # Full recompute + structure (re)build
     # ------------------------------------------------------------------
     def _full_recompute(self) -> None:
-        """Forest from scratch via (cached, kernel-backed) Kruskal."""
+        """Forest from scratch via (cached) Kruskal."""
         g = self.dyn.to_csr()
-        res = cached_reference(
-            g, "kruskal", lambda gg: kruskal(gg, backend=self.backend),
-            cache=self.cache)
+        res = cached_reference(g, "kruskal", kruskal, cache=self.cache)
         mask = self._in_forest.view
         mask[:] = False
         internal = self.dyn.compact_to_internal()[res.edge_ids]

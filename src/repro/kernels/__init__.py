@@ -1,49 +1,16 @@
-"""Optional compiled kernel tier for the simulator's proven hot paths.
+"""The simulator's hot loops, behind one per-run dispatch.
 
-ROADMAP open item 2: after PR 1's vectorization, large-graph runs are
-dominated by per-iteration Python orchestration — union-find pointer
-chasing, the Finding Module's per-edge scans, the merge loops, the LRU
-replay.  This package moves those inner loops behind a uniform dispatch
-so they can run as Numba ``@njit`` machine code when available, while
-the default install keeps the pure-NumPy implementations and identical
-results.
+* :mod:`~repro.kernels.numpy_impl` — the kernels: root resolution,
+  union-find, the Finding Module scan, the RAPE mirror test, the
+  Compressing Module commit and the LRU replay;
+* :mod:`~repro.kernels.dispatch` — the per-run :class:`KernelDispatch`
+  that counts and times every call (``kernel.*`` namespaces).
 
-Layout:
-
-* :mod:`~repro.kernels.loops` — loop-form kernel bodies (the single
-  source the compiled tier wraps; also runnable under plain CPython);
-* :mod:`~repro.kernels.numpy_impl` — the vectorized references;
-* :mod:`~repro.kernels.numba_impl` — ``njit(cache=True)`` wrapping;
-* :mod:`~repro.kernels.backend` — ``auto``/``numpy``/``numba``/
-  ``python`` resolution with shm-style logged-once fallback;
-* :mod:`~repro.kernels.dispatch` — per-process kernel-set cache with
-  build-time warm-up, plus the per-run :class:`KernelDispatch` that
-  counts and times every call (``kernel.*`` namespaces).
-
-Selection is ``AmstConfig.backend`` (or ``amst run --backend``); see
-docs/PERFORMANCE.md "Compiled kernel tier" for the identity contract
-and measured speedups.
+See docs/PERFORMANCE.md "Kernels".
 """
 
 from __future__ import annotations
 
-from .backend import BACKENDS, numba_available, numba_version, resolve_backend
-from .dispatch import (
-    KERNEL_NAMES,
-    KernelDispatch,
-    KernelSet,
-    get_kernel_set,
-    make_dispatch,
-)
+from .dispatch import KERNEL_NAMES, KernelDispatch
 
-__all__ = [
-    "BACKENDS",
-    "KERNEL_NAMES",
-    "KernelDispatch",
-    "KernelSet",
-    "get_kernel_set",
-    "make_dispatch",
-    "numba_available",
-    "numba_version",
-    "resolve_backend",
-]
+__all__ = ["KERNEL_NAMES", "KernelDispatch"]

@@ -1,129 +1,32 @@
-"""Kernel sets and per-run dispatch: counters, timing, fallback.
+"""Per-run kernel dispatch: counts and times every kernel call.
 
-Two layers:
-
-* :func:`get_kernel_set` — a process-wide cache of built kernel tiers.
-  Building the ``numba`` tier compiles (or loads from the on-disk JIT
-  cache) every kernel and then **warms it up** on tiny representative
-  inputs, so by the time a simulator run first dispatches a kernel the
-  machine code is resident — JIT time can never pollute measured host
-  timings.  A failed import/compile warns once (shm-style) and the set
-  silently degrades to the NumPy tier.
-* :class:`KernelDispatch` — the per-run façade stored on
-  :class:`~repro.core.state.SimState`.  Attribute access dispatches to
-  the tier's function, bumping a per-kernel counter and accumulating
-  wall-clock under ``kernel.<name>`` in the run's
-  :class:`~repro.core.timing.HostTimers` — the rows ``--profile-host``
-  prints and telemetry records.
+:class:`KernelDispatch` is the per-run façade stored on
+:class:`~repro.core.state.SimState`.  Attribute access returns the
+:mod:`~repro.kernels.numpy_impl` function wrapped to bump a per-kernel
+counter (the ``kernel.dispatch.*`` metrics) and to accumulate
+wall-clock under ``kernel.<name>`` in the run's
+:class:`~repro.core.timing.HostTimers` (the ``kernel.*`` rows of
+``--profile-host``).  Each function is looked up on the module at its
+first use in a run, so the simulator always calls the module's current
+binding.
 """
 
 from __future__ import annotations
 
 import time
 
-import numpy as np
+from . import numpy_impl
 
-from . import loops, numpy_impl
-from .backend import _warn_fallback, resolve_backend
+__all__ = ["KERNEL_NAMES", "KernelDispatch"]
 
-__all__ = [
-    "KERNEL_NAMES",
-    "KernelSet",
-    "KernelDispatch",
-    "get_kernel_set",
-    "make_dispatch",
-]
-
-#: every kernel in the tier, in docs order
-KERNEL_NAMES = tuple(loops.__all__)
-
-_SETS: dict[str, "KernelSet"] = {}
+#: every kernel, in docs order
+KERNEL_NAMES = tuple(numpy_impl.__all__)
 
 
-class KernelSet:
-    """One built kernel tier: a resolved backend label plus its functions."""
-
-    __slots__ = ("backend", "fns")
-
-    def __init__(self, backend: str, fns: dict) -> None:
-        self.backend = backend
-        self.fns = fns
-
-
-def _warmup(fns: dict) -> None:
-    """Touch every kernel (both FM branches) on tiny typed inputs."""
-    parent = np.array([0, 0, 1], dtype=np.int64)
-    fns["resolve_roots"](parent)
-    fns["pointer_jump"](parent.copy())
-    fns["find_many"](parent, np.array([2], dtype=np.int64))
-    fns["kruskal_union"](
-        2,
-        np.array([0], dtype=np.int64),
-        np.array([1], dtype=np.int64),
-        np.array([1.0]),
-    )
-    tags = np.full((2, 2), -1, dtype=np.int64)
-    stamps = np.zeros((2, 2), dtype=np.int64)
-    fns["lru_replay"](np.array([0, 1, 2], dtype=np.int64), tags, stamps, 0, 2, 2)
-    external = np.array([False, True, True])
-    offsets = np.array([0, 1, 3], dtype=np.int64)
-    seg_id = np.array([0, 1, 1], dtype=np.int64)
-    w = np.array([1.0, 2.0, 1.5])
-    eid = np.array([0, 1, 2], dtype=np.int64)
-    fns["fm_scan"](external, offsets, seg_id, w, eid, True)
-    fns["fm_scan"](external, offsets, seg_id, w, eid, False)
-    fns["rape_mirrors"](
-        np.array([1, 1], dtype=np.int64),
-        np.array([0], dtype=np.int64),
-        np.array([1], dtype=np.int64),
-    )
-    fns["cm_commit"](
-        parent,
-        np.array([0], dtype=np.int64),
-        np.array([0], dtype=np.int64),
-        np.array([2], dtype=np.int64),
-    )
-
-
-def get_kernel_set(backend: str) -> KernelSet:
-    """Build (once per process) the kernel set for a *resolved* backend.
-
-    ``numba`` builds compile every kernel and warm them up here, inside
-    the cache-miss path — never inside a timed run.  A build failure
-    degrades to the NumPy set under the same once-only warning contract
-    as a missing install, and the degraded set is cached under the
-    requested key so later runs do not retry the compile.
-    """
-    cached = _SETS.get(backend)
-    if cached is not None:
-        return cached
-    if backend == "numpy":
-        kset = KernelSet("numpy", {n: getattr(numpy_impl, n) for n in KERNEL_NAMES})
-    elif backend == "python":
-        kset = KernelSet("python", {n: getattr(loops, n) for n in KERNEL_NAMES})
-    elif backend == "numba":
-        try:
-            from . import numba_impl
-
-            fns = numba_impl.build()
-            _warmup(fns)
-            kset = KernelSet("numba", fns)
-        except Exception as exc:  # import or compile failure
-            _warn_fallback(f"numba kernel build failed: {exc!r}")
-            kset = get_kernel_set("numpy")
-    else:
-        raise ValueError(f"not a resolved backend: {backend!r}")
-    _SETS[backend] = kset
-    return kset
-
-
-def _rebuild_dispatch(backend: str, counters: dict) -> "KernelDispatch":
-    """Unpickle support: rebuild from the resolved backend + counters.
-
-    The host-timer binding is not restored (timers travel separately on
-    the state); dispatch counts — what telemetry reads — are preserved.
-    """
-    d = KernelDispatch(get_kernel_set(backend))
+def _rebuild_dispatch(counters: dict) -> "KernelDispatch":
+    """Unpickle support: the counters survive, the timer binding does not
+    (timers travel separately on the state)."""
+    d = KernelDispatch()
     d.counters.update(counters)
     return d
 
@@ -131,14 +34,12 @@ def _rebuild_dispatch(backend: str, counters: dict) -> "KernelDispatch":
 class KernelDispatch:
     """Per-run kernel façade: ``state.kernels.fm_scan(...)`` etc.
 
-    Each first attribute access builds (and caches on the instance) a
-    wrapper that counts the dispatch and accumulates ``kernel.<name>``
-    wall-clock on the bound timers, then calls the tier function.
+    The first access to a kernel name builds (and caches on the
+    instance) a wrapper that counts the call, times it on the bound
+    timers when there are any, then calls the ``numpy_impl`` function.
     """
 
-    def __init__(self, kset: KernelSet, timers=None) -> None:
-        self.kset = kset
-        self.backend = kset.backend
+    def __init__(self, timers=None) -> None:
         self.counters: dict[str, int] = {}
         self.timers = timers
 
@@ -149,36 +50,24 @@ class KernelDispatch:
             self.__dict__.pop(name, None)
 
     def __getattr__(self, name: str):
-        if name.startswith("_") or name not in self.kset.fns:
+        if name not in KERNEL_NAMES:
             raise AttributeError(name)
-        fn = self.kset.fns[name]
-        counters = self.counters
-        timers = self.timers
+        fn = getattr(numpy_impl, name)
+        counters, timers = self.counters, self.timers
         timer_key = f"kernel.{name}"
 
-        if timers is None:
-
-            def wrapper(*args):
-                counters[name] = counters.get(name, 0) + 1
+        def wrapper(*args):
+            counters[name] = counters.get(name, 0) + 1
+            if timers is None:
                 return fn(*args)
-
-        else:
-
-            def wrapper(*args):
-                counters[name] = counters.get(name, 0) + 1
-                t0 = time.perf_counter()
-                try:
-                    return fn(*args)
-                finally:
-                    timers.add(timer_key, time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                timers.add(timer_key, time.perf_counter() - t0)
 
         self.__dict__[name] = wrapper  # bypasses __getattr__ next time
         return wrapper
 
     def __reduce__(self):
-        return (_rebuild_dispatch, (self.backend, dict(self.counters)))
-
-
-def make_dispatch(requested: str, timers=None) -> KernelDispatch:
-    """Resolve a requested backend and build its per-run dispatcher."""
-    return KernelDispatch(get_kernel_set(resolve_backend(requested)), timers)
+        return (_rebuild_dispatch, (dict(self.counters),))

@@ -1,12 +1,12 @@
-"""NumPy-tier kernel implementations (the behavioural reference).
+"""The simulator's kernels: the hot loops of one run, in NumPy.
 
-These are the vectorized algorithms the simulator has always run — the
-hot-path code of ``SimState._recompute_roots``, the Finding Module's
-segment scan, the RAPE mirror test and the Compressing Module commit,
-extracted behind the kernel dispatch signatures so the ``numpy`` and
-``numba`` backends are interchangeable call for call.  The byte-identity
-suite (``tests/verify/test_kernel_identity.py``) pins every function
-here against its loop form in :mod:`repro.kernels.loops`.
+These are the algorithms behind ``SimState._recompute_roots``, the
+Finding Module's segment scan, the RAPE mirror test, the Compressing
+Module commit and the LRU replay, plus the union-find loops that
+``repro.mst`` shares.  The simulator reaches them through the per-run
+:class:`~repro.kernels.dispatch.KernelDispatch`, which counts and times
+every call.  ``tests/verify/test_kernel_identity.py`` checks each
+function against an independent scalar reference.
 
 Imports from ``repro.core`` are deferred into function bodies: the
 kernels package must be importable mid-way through ``repro.core``'s own
@@ -17,8 +17,6 @@ dependency on ``repro.core`` is allowed here.
 from __future__ import annotations
 
 import numpy as np
-
-from . import loops
 
 __all__ = [
     "resolve_roots",
@@ -67,15 +65,42 @@ def find_many(parent, xs):
 
 
 def kruskal_union(n, u, v, w):
-    """Kruskal union loop — scalar on the NumPy tier.
+    """Kruskal's union loop over edges already in ``(weight, id)`` order.
 
-    Union-find is inherently sequential; the NumPy tier has no
-    vectorized form, so the reference loop *is* the implementation
-    (this is exactly the per-edge Python overhead the compiled tier
-    removes).  Delegates to the loop body, which is the behavioural
-    definition.
+    Returns ``(chosen, num_components, total)`` where ``chosen[e]`` marks
+    accepted edges (positions in the given order), and ``total`` is the
+    running float64 sum accumulated *in acceptance order*.  Union-find is
+    inherently sequential, so this stays a scalar loop (union by rank,
+    path halving); the DSU internals cannot change the accepted edge
+    set, which only depends on connectivity.
     """
-    return loops.kruskal_union(n, u, v, w)
+    m = u.shape[0]
+    parent = np.arange(n, dtype=np.int64)
+    rank = np.zeros(n, np.int8)
+    chosen = np.zeros(m, np.bool_)
+    comps = n
+    total = 0.0
+    for e in range(m):
+        a = u[e]
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        b = v[e]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            if rank[a] < rank[b]:
+                a, b = b, a
+            parent[b] = a
+            if rank[a] == rank[b]:
+                rank[a] += 1
+            comps -= 1
+            chosen[e] = True
+            total += w[e]
+            if comps == 1:
+                break
+    return chosen, comps, total
 
 
 def lru_replay(ids, tags, stamps, clock, nsets, ways):
@@ -167,11 +192,17 @@ def lru_replay(ids, tags, stamps, clock, nsets, ways):
 
 
 def fm_scan(external, offsets, seg_id, w, eid, sew):
-    """Vectorized FM segment scan (``segment_first`` + lexsort min).
+    """Finding Module per-vertex edge-segment scan (Fig 7 Steps ①-⑤).
 
-    Same outputs as :func:`repro.kernels.loops.fm_scan`: per-segment
-    first external position, found flag, examined-prefix end and the
-    selected candidate's flat index (``-1`` when none).
+    ``external`` flags each flattened edge position; ``offsets`` bounds
+    segment ``s`` at ``[offsets[s], offsets[s+1])``.  Returns per
+    segment: ``first`` (flat index of the first external edge, or the
+    segment end when none), ``found``, ``exam_end`` (exclusive end of
+    the examined prefix — SEW stops after the first external edge) and
+    ``cand`` (flat index of the selected candidate edge, ``-1`` when the
+    segment has no external edge).  Without SEW the candidate is the
+    minimum ``(weight, eid)`` external edge, earliest position on exact
+    ties; ``w`` / ``eid`` / ``seg_id`` are only read on that path.
     """
     from ..core.utils import segment_first
 
@@ -204,9 +235,10 @@ def rape_mirrors(me_eid, cand, tgt):
 def cm_commit(parent, roots, root_final, leaf_ids):
     """Vectorized CM commit: refresh roots, double-hop live leaves.
 
-    The leaf gather reads the post-root-update array *before* any leaf
-    write lands (NumPy fancy-index semantics) — the loop form replicates
-    this with an explicit gather phase.
+    Returns a fresh Parent array.  The leaf gather reads the
+    post-root-update array *before* any leaf write lands (NumPy
+    fancy-index semantics): a leaf whose parent is another hooked leaf
+    reads that leaf's pre-pass pointer.
     """
     out = parent.copy()
     out[roots] = root_final

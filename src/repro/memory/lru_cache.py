@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..kernels.dispatch import KernelDispatch
 from .stats import CacheStats
 
 __all__ = ["LRUCache", "ScalarLRUCache"]
@@ -96,30 +97,22 @@ class _LRUBase:
 class LRUCache(_LRUBase):
     """Set-associative LRU over vertex ids (allocate-on-read-and-write).
 
-    The replay itself now lives in the kernel tier
-    (:func:`repro.kernels.numpy_impl.lru_replay` — the vectorized
-    lockstep-rounds algorithm formerly inlined here — and its compiled
-    twin in :mod:`repro.kernels.loops`); this class keeps the cache
-    state, statistics and batch API, and dispatches each batch through
-    the run's :class:`~repro.kernels.dispatch.KernelDispatch` so the
-    backend choice and the ``kernel.lru_replay`` counters apply here
-    exactly like the simulator's other hot loops.
+    The replay itself is the :func:`repro.kernels.numpy_impl.lru_replay`
+    kernel (the vectorized lockstep-rounds algorithm); this class keeps
+    the cache state, statistics and batch API, and dispatches each batch
+    through the run's :class:`~repro.kernels.dispatch.KernelDispatch` so
+    the ``kernel.lru_replay`` counters apply here exactly like the
+    simulator's other hot loops.  A standalone cache (sweeps, tests)
+    gets its own dispatcher.
     """
 
-    def __init__(self, capacity: int, ways: int = 8, kernels=None) -> None:
+    def __init__(self, capacity: int, ways: int = 8,
+                 kernels: KernelDispatch | None = None) -> None:
         super().__init__(capacity, ways)
-        self._kernels = kernels
-
-    def _kern(self):
-        if self._kernels is None:
-            # standalone construction (sweeps, tests): NumPy tier
-            from ..kernels.dispatch import KernelDispatch, get_kernel_set
-
-            self._kernels = KernelDispatch(get_kernel_set("numpy"))
-        return self._kernels
+        self._kernels = kernels if kernels is not None else KernelDispatch()
 
     def _replay(self, ids: np.ndarray) -> np.ndarray:
-        hits, evictions, self._clock = self._kern().lru_replay(
+        hits, evictions, self._clock = self._kernels.lru_replay(
             ids, self._tags, self._stamp, self._clock, self.sets, self.ways
         )
         self.stats.evictions += int(evictions)

@@ -1,10 +1,11 @@
 """Kruskal's algorithm — the repo's ground truth.
 
-Sorting is vectorized; the union loop is scalar but touches each edge at
-most once, so it stays fast enough to validate every simulator run.
-Ties are broken by undirected edge id, matching the tie-break used by the
-Borůvka implementations, so on duplicate weights all algorithms agree on
-total weight (and on the exact edge set when weights are unique).
+Sorting is vectorized; the union loop (the ``kruskal_union`` kernel) is
+scalar but touches each edge at most once, so it stays fast enough to
+validate every simulator run.  Ties are broken by undirected edge id,
+matching the tie-break used by the Borůvka implementations, so on
+duplicate weights all algorithms agree on total weight (and on the
+exact edge set when weights are unique).
 """
 
 from __future__ import annotations
@@ -12,49 +13,23 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import CSRGraph
+from ..kernels import numpy_impl
 from .result import MSTResult
-from .union_find import UnionFind
 
 __all__ = ["kruskal"]
 
 
-def kruskal(graph: CSRGraph, *, backend: str | None = None) -> MSTResult:
+def kruskal(graph: CSRGraph) -> MSTResult:
     """Minimum spanning forest via Kruskal (the repo ground truth).
 
-    ``backend`` optionally runs the union loop through the compiled
-    kernel tier (:func:`repro.kernels.loops.kruskal_union`), which
-    accepts edges in the same sorted order and accumulates the total in
-    acceptance order — the result is byte-identical to the scalar loop
-    here (the identity suite pins it); ``None``/``"numpy"`` keeps the
-    reference loop.
+    The total weight is accumulated in acceptance order.
     """
-    n = graph.num_vertices
     u, v, w = graph.edge_endpoints()
     order = np.lexsort((np.arange(u.size), w))
-    if backend not in (None, "numpy"):
-        from ..kernels import get_kernel_set, resolve_backend
-
-        resolved = resolve_backend(backend)
-        if resolved != "numpy":
-            chosen_m, comps, total = get_kernel_set(resolved).fns[
-                "kruskal_union"
-            ](n, u[order], v[order], w[order])
-            return MSTResult(
-                edge_ids=order[np.flatnonzero(chosen_m)].astype(np.int64),
-                total_weight=float(total),
-                num_components=int(comps),
-            )
-    dsu = UnionFind(n)
-    chosen: list[int] = []
-    total = 0.0
-    for e in order:
-        if dsu.union(int(u[e]), int(v[e])):
-            chosen.append(int(e))
-            total += float(w[e])
-            if dsu.num_components == 1:
-                break
+    chosen, comps, total = numpy_impl.kruskal_union(
+        graph.num_vertices, u[order], v[order], w[order])
     return MSTResult(
-        edge_ids=np.array(chosen, dtype=np.int64),
-        total_weight=total,
-        num_components=dsu.num_components,
+        edge_ids=order[chosen],
+        total_weight=float(total),
+        num_components=int(comps),
     )

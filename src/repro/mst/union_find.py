@@ -1,15 +1,18 @@
 """Disjoint-set union (union-find).
 
-Used by Kruskal's algorithm and by the validators.  The scalar interface
-is the textbook union-by-rank + path-halving structure; the vectorized
-helpers (:meth:`UnionFind.find_many`, :func:`pointer_jump`) serve the
-NumPy-heavy Borůvka implementations, where per-element Python calls would
-dominate runtime (see the HPC guide: vectorize the inner loop).
+Used by the validators and the reference algorithms.  The scalar
+interface is the textbook union-by-rank + path-halving structure; the
+vectorized helpers (:meth:`UnionFind.find_many`, :func:`pointer_jump`)
+serve the NumPy-heavy Borůvka implementations, where per-element Python
+calls would dominate runtime.  They run the ``find_many`` /
+``pointer_jump`` kernels of :mod:`repro.kernels.numpy_impl`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ..kernels import numpy_impl
 
 __all__ = ["UnionFind", "pointer_jump"]
 
@@ -59,43 +62,22 @@ class UnionFind:
 
     def find_many(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized find (no compression writes; read-only batch)."""
-        xs = np.asarray(xs, dtype=np.int64)
-        roots = self.parent[xs]
-        while True:
-            nxt = self.parent[roots]
-            if np.array_equal(nxt, roots):
-                return roots
-            roots = nxt
+        return numpy_impl.find_many(self.parent, np.asarray(xs, dtype=np.int64))
 
     def component_labels(self) -> np.ndarray:
         """Root id of every element (fully compressed snapshot)."""
         return pointer_jump(self.parent.copy())
 
 
-def pointer_jump(parent: np.ndarray, *, backend: str | None = None) -> np.ndarray:
+def pointer_jump(parent: np.ndarray) -> np.ndarray:
     """Iterated ``parent = parent[parent]`` until a fixed point.
 
     This is exactly Stage 4's path compression (Algorithm 1, line 23) in
-    vectorized form; each round halves the depth of every tree, so the
-    loop runs O(log depth) times.  The input array is modified in place
-    and returned.
-
-    ``backend`` routes the compression through the kernel tier
-    (``"auto"``/``"numba"``/``"python"`` — see :mod:`repro.kernels`);
-    the default (``None``/``"numpy"``) keeps the doubling loop here.
-    Either way the fixed point is byte-identical.
+    vectorized form (the ``pointer_jump`` kernel); each round halves the
+    depth of every tree, so the loop runs O(log depth) times.  The input
+    array is modified in place and returned.
     """
     parent = np.asarray(parent)
     if parent.dtype.kind not in "iu":
         raise TypeError("parent must be an integer array")
-    if backend not in (None, "numpy"):
-        from ..kernels import get_kernel_set, resolve_backend
-
-        resolved = resolve_backend(backend)
-        if resolved != "numpy":
-            return get_kernel_set(resolved).fns["pointer_jump"](parent)
-    while True:
-        nxt = parent[parent]
-        if np.array_equal(nxt, parent):
-            return parent
-        np.copyto(parent, nxt)
+    return numpy_impl.pointer_jump(parent)

@@ -59,7 +59,7 @@ class Telemetry:
         self.spans = SpanRecorder()
         #: optional result summary the manifest writer picks up
         self.summary: dict | None = None
-        #: kernel-tier identity of recorded runs (manifest "kernels" key)
+        #: kernel dispatch counts of recorded runs (manifest "kernels" key)
         self.kernel_info: dict | None = None
         #: pid that owns the merged trace (set by the parent process)
         import os
@@ -162,21 +162,12 @@ class Telemetry:
                 m.set_gauge(f"kernel.time.{name[7:]}.seconds",
                             entry["seconds"])
 
-        kernels = getattr(out.state, "kernels", None)
-        if kernels is not None:
-            from ..kernels import numba_version
-
-            for name, count in sorted(kernels.counters.items()):
-                m.inc(f"kernel.dispatch.{name}", int(count))
-            info = self.kernel_info or {
-                "backend": kernels.backend,
-                "numba": numba_version(),
-                "dispatch": {},
-            }
-            disp = info["dispatch"]
-            for name, count in kernels.counters.items():
-                disp[name] = disp.get(name, 0) + int(count)
-            self.kernel_info = info
+        info = self.kernel_info or {"dispatch": {}}
+        disp = info["dispatch"]
+        for name, count in sorted(out.state.kernels.counters.items()):
+            m.inc(f"kernel.dispatch.{name}", int(count))
+            disp[name] = disp.get(name, 0) + int(count)
+        self.kernel_info = info
 
     def record_runcache(self, cache) -> None:
         """Fold a ``RunCache.stats()`` snapshot into ``runcache.*``."""

@@ -53,15 +53,13 @@ __all__ = ["DaemonConfig", "AmstDaemon"]
 #: parameter allowlist per job kind — unknown keys are a ``bad_request``
 #: at submission time, so typos fail fast instead of queueing garbage
 _PARAM_KEYS = {
-    "run": {"parallelism", "cache_vertices", "backend", "self_check"},
-    "verify": {"backend", "certify"},
+    "run": {"parallelism", "cache_vertices", "self_check"},
+    "verify": {"certify"},
     "sweep": {"name", "cache_vertices", "seed"},
-    "update": {"inserts", "deletes", "fallback_fraction", "backend"},
+    "update": {"inserts", "deletes", "fallback_fraction"},
 }
 #: test-only fault-injection keys, rejected unless the daemon opted in
 _FAULT_KEYS = {"fault", "sleep_s"}
-
-_BACKENDS = ("auto", "numpy", "numba", "python")
 
 #: job wall-clock histogram buckets (seconds)
 _JOB_SECONDS_BUCKETS = (
@@ -300,11 +298,6 @@ class AmstDaemon:
                 "bad_request",
                 f"unknown parameter(s) for kind {kind!r}: {unknown}",
                 {"field": "params", "unknown": unknown})
-        backend = params.get("backend", "auto")
-        if backend not in _BACKENDS:
-            raise ServeError("bad_request",
-                             f"backend must be one of {list(_BACKENDS)}",
-                             {"field": "params.backend", "got": backend})
         if kind == "sweep":
             from ..bench.sweeps import SWEEPS
 
@@ -357,12 +350,7 @@ class AmstDaemon:
         cfg = AmstConfig.full(
             int(params.get("parallelism", 16)),
             cache_vertices=int(params.get("cache_vertices", 1 << 19)))
-        changes = {}
-        if params.get("backend", "auto") != "auto":
-            changes["backend"] = params["backend"]
-        if params.get("self_check"):
-            changes["self_check"] = True
-        return cfg.with_(**changes) if changes else cfg
+        return cfg.with_(self_check=True) if params.get("self_check") else cfg
 
     def _execute_run(self, job: Job,
                      graph: CSRGraph) -> tuple[dict, bool]:
@@ -405,12 +393,10 @@ class AmstDaemon:
                         graph: CSRGraph) -> tuple[dict, bool]:
         from ..verify import run_oracle
 
-        backend = job.params.get("backend", "auto")
         before = self.cache.stats()["hits"]
         report = run_oracle(
             graph, cache=self.cache,
-            certify=bool(job.params.get("certify", True)),
-            backend=None if backend == "auto" else backend)
+            certify=bool(job.params.get("certify", True)))
         hit = self.cache.stats()["hits"] > before
         payload = {
             "ok": report.ok,
@@ -471,7 +457,6 @@ class AmstDaemon:
         from ..incremental import IncrementalConfig, IncrementalMst
 
         batch = _parse_update_batch(job.params)
-        backend = job.params.get("backend", "auto")
         config = IncrementalConfig(fallback_fraction=float(
             job.params.get("fallback_fraction", 0.25)))
         base = self.registry.get(job.graph)
@@ -479,11 +464,9 @@ class AmstDaemon:
             engine = self._engines.pop(job.graph, None)
             if engine is None:
                 engine = IncrementalMst(
-                    base.graph, config=config, cache=self.cache,
-                    backend=None if backend == "auto" else backend)
+                    base.graph, config=config, cache=self.cache)
             else:
                 engine.config = config
-                engine.backend = None if backend == "auto" else backend
             try:
                 stats = engine.apply(batch)
                 engine.check_invariants()

@@ -115,29 +115,19 @@ def _config_record(cfg: AmstConfig) -> dict:
     }
 
 
-def compute_golden_record(
-    name: str, graph=None, backend: str | None = None
-) -> dict:
+def compute_golden_record(name: str, graph=None) -> dict:
     """Run one golden case (with self-check armed) and snapshot it.
 
     ``graph`` optionally supplies the case's graph — either directly or
     as a :class:`~repro.graph.shm.SharedGraphHandle` published by the
     parent of a ``--jobs N`` recomputation; by default it is rebuilt
     from the case's seeded generator (identical bytes either way).
-
-    ``backend`` selects the kernel execution tier (``amst verify
-    --backend``); records are byte-identical across backends — that is
-    precisely what running the suite under ``backend="numba"`` proves —
-    so the serialized config deliberately omits the field.
     """
     from ..graph.shm import resolve_graph
 
     case = GOLDEN_CASES[name]
     graph = case.graph_fn() if graph is None else resolve_graph(graph)
-    cfg = case.config.with_(self_check=True)
-    if backend is not None:
-        cfg = cfg.with_(backend=backend)
-    out = Amst(cfg).run(graph)
+    out = Amst(case.config.with_(self_check=True)).run(graph)
     res, rep = out.result, out.report
     return {
         "name": name,
@@ -176,16 +166,15 @@ def compute_golden_record(
     }
 
 
-def _golden_task(name: str, graph=None, backend=None) -> tuple:
+def _golden_task(name: str, graph=None) -> tuple:
     """Picklable executor task body (single-element tuple for run_task)."""
-    return (compute_golden_record(name, graph=graph, backend=backend),)
+    return (compute_golden_record(name, graph=graph),)
 
 
 def compute_golden_records(
     names: list[str] | None = None,
     *,
     jobs: int = 1,
-    backend: str | None = None,
 ) -> dict[str, dict]:
     """Compute records, optionally fanning across a process pool.
 
@@ -202,8 +191,6 @@ def compute_golden_records(
         tasks = []
         for n in names:
             kwargs: dict = {"name": n}
-            if backend is not None:
-                kwargs["backend"] = backend
             if jobs > 1 and len(names) > 1:
                 kwargs["graph"] = store.publish_graph(
                     GOLDEN_CASES[n].graph_fn())
@@ -245,16 +232,10 @@ def check_golden(
     *,
     directory: str | Path | None = None,
     jobs: int = 1,
-    backend: str | None = None,
 ) -> list[GoldenDiff]:
-    """Recompute the suite and diff against blessed files.
-
-    ``backend`` reruns every case on the given kernel tier against the
-    same blessed bytes — compiled-vs-NumPy drift shows up as a normal
-    golden diff.
-    """
+    """Recompute the suite and diff against blessed files."""
     directory = golden_dir(directory)
-    records = compute_golden_records(names, jobs=jobs, backend=backend)
+    records = compute_golden_records(names, jobs=jobs)
     diffs: list[GoldenDiff] = []
     for name, record in records.items():
         path = directory / f"{name}.json"

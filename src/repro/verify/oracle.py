@@ -365,7 +365,6 @@ def run_oracle(
     certify: bool = True,
     cache=None,
     jobs: int = 1,
-    backend: str | None = None,
 ) -> OracleReport:
     """Differentially verify simulator configuration(s) on one graph.
 
@@ -391,21 +390,11 @@ def run_oracle(
         ``> 1`` fans every reference and simulator run across a process
         pool with the graph published via shared memory; the report is
         byte-identical to ``jobs=1``.
-    backend:
-        Kernel execution tier applied to every simulator configuration
-        (``config.with_(backend=...)``) — the knob ``amst verify
-        --backend numba`` uses to prove compiled-vs-NumPy byte identity
-        through this whole harness.
     """
     if references is None:
         references = REFERENCES
     if configs is None:
         configs = ORACLE_CONFIGS
-    if backend is not None:
-        configs = {
-            label: cfg.with_(backend=backend)
-            for label, cfg in configs.items()
-        }
     canonical = next(iter(references))
 
     tel = current_telemetry()

@@ -1,14 +1,13 @@
-"""Tests of the compiled kernel tier's plumbing (``repro.kernels``).
+"""Tests of the kernel dispatch plumbing (``repro.kernels``).
 
-Covers backend resolution (including the ``NUMBA_DISABLE_JIT`` debug
-contract and the once-per-process fallback warning), kernel-set caching,
-the per-run :class:`~repro.kernels.KernelDispatch` façade (counters,
-timers, pickling), the config/CLI surface, and the ``--profile-host``
-rendering.  *Algorithmic* byte-identity between the tiers lives in
+Covers the per-run :class:`~repro.kernels.KernelDispatch` façade
+(counters, timers, pickling, module lookup), the absence of any
+kernel-tier selection on the config/CLI surface, and the
+``--profile-host`` rendering.  Each kernel's *algorithm* is checked
+against an independent reference in
 ``tests/verify/test_kernel_identity.py``.
 """
 
-import logging
 import pickle
 
 import numpy as np
@@ -17,127 +16,25 @@ import pytest
 from repro.core import Amst, AmstConfig
 from repro.core.timing import HostTimers, format_host_profile
 from repro.graph import paper_example
-from repro.kernels import (
-    BACKENDS,
-    KERNEL_NAMES,
-    KernelDispatch,
-    get_kernel_set,
-    make_dispatch,
-    numba_available,
-    numba_version,
-    resolve_backend,
-)
-from repro.kernels import backend as backend_mod
+from repro.kernels import KERNEL_NAMES, KernelDispatch, numpy_impl
 from repro.memory import LRUCache, ScalarLRUCache
-
-HAVE_NUMBA = numba_available()
-
-
-@pytest.fixture(autouse=True)
-def _rearm_fallback_warning():
-    """Isolate the once-per-process warning latch between tests."""
-    backend_mod._reset_warned()
-    yield
-    backend_mod._reset_warned()
-
-
-class TestResolveBackend:
-    def test_identity_tiers(self):
-        assert resolve_backend("numpy") == "numpy"
-        assert resolve_backend("python") == "python"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("cuda")
-
-    def test_auto_never_raises(self):
-        assert resolve_backend("auto") in ("numpy", "numba", "python")
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed")
-    def test_missing_numba_degrades(self, monkeypatch):
-        monkeypatch.delenv("NUMBA_DISABLE_JIT", raising=False)
-        assert resolve_backend("auto") == "numpy"
-        assert resolve_backend("numba") == "numpy"
-        assert numba_version() == "absent"
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba absent")
-    def test_present_numba_selected(self, monkeypatch):
-        monkeypatch.delenv("NUMBA_DISABLE_JIT", raising=False)
-        assert resolve_backend("auto") == "numba"
-        assert resolve_backend("numba") == "numba"
-        assert numba_version() != "absent"
-
-    def test_disable_jit_env(self, monkeypatch):
-        monkeypatch.setenv("NUMBA_DISABLE_JIT", "1")
-        assert backend_mod.jit_disabled()
-        # an explicit numba request runs the loop bodies interpreted,
-        # exactly what numba itself would do with JIT off
-        assert resolve_backend("numba") == "python"
-        assert resolve_backend("numpy") == "numpy"
-        monkeypatch.setenv("NUMBA_DISABLE_JIT", "0")
-        assert not backend_mod.jit_disabled()
-        monkeypatch.setenv("NUMBA_DISABLE_JIT", "")
-        assert not backend_mod.jit_disabled()
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed")
-    def test_explicit_request_warns_once(self, caplog):
-        with caplog.at_level(logging.WARNING, logger=backend_mod.__name__):
-            resolve_backend("numba")
-            resolve_backend("numba")
-        warnings = [r for r in caplog.records
-                    if "falling back" in r.getMessage()]
-        assert len(warnings) == 1
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed")
-    def test_auto_is_silent(self, caplog):
-        with caplog.at_level(logging.WARNING, logger=backend_mod.__name__):
-            resolve_backend("auto")
-        assert not caplog.records
 
 
 class TestKernelSets:
-    def test_process_wide_cache(self):
-        assert get_kernel_set("numpy") is get_kernel_set("numpy")
-        assert get_kernel_set("python") is get_kernel_set("python")
-
     def test_all_kernels_present(self):
-        for tier in ("numpy", "python"):
-            kset = get_kernel_set(tier)
-            assert kset.backend == tier
-            assert set(kset.fns) == set(KERNEL_NAMES)
-
-    def test_unresolved_backend_rejected(self):
-        with pytest.raises(ValueError, match="not a resolved"):
-            get_kernel_set("auto")
-
-    def test_numba_set_never_crashes(self):
-        # with numba installed this compiles + warms up; without it the
-        # build degrades to the numpy set under the warn-once contract
-        kset = get_kernel_set("numba")
-        expected = "numba" if HAVE_NUMBA else "numpy"
-        assert kset.backend == expected
-        assert set(kset.fns) == set(KERNEL_NAMES)
-
-    def test_warmup_covers_every_kernel(self):
-        from repro.kernels.dispatch import _warmup
-
-        calls = {}
-
-        class Recorder:
-            def __init__(self, name):
-                self.name = name
-
-            def __call__(self, *args):
-                calls[self.name] = calls.get(self.name, 0) + 1
-                return get_kernel_set("numpy").fns[self.name](*args)
-
-        _warmup({n: Recorder(n) for n in KERNEL_NAMES})
-        assert set(calls) == set(KERNEL_NAMES)
+        # pinned: perfbench/tracing.py wraps these names on numpy_impl
+        assert set(KERNEL_NAMES) == {
+            "resolve_roots", "pointer_jump", "find_many", "kruskal_union",
+            "lru_replay", "fm_scan", "rape_mirrors", "cm_commit"}
+        d = KernelDispatch()
+        for name in KERNEL_NAMES:
+            assert callable(getattr(numpy_impl, name))
+            assert callable(getattr(d, name))
 
 
 class TestKernelDispatch:
     def test_counts_dispatches(self):
-        d = KernelDispatch(get_kernel_set("numpy"))
+        d = KernelDispatch()
         parent = np.array([0, 0, 1], dtype=np.int64)
         d.resolve_roots(parent)
         d.resolve_roots(parent)
@@ -146,30 +43,29 @@ class TestKernelDispatch:
 
     def test_times_under_kernel_namespace(self):
         timers = HostTimers()
-        d = KernelDispatch(get_kernel_set("numpy"), timers)
+        d = KernelDispatch(timers)
         d.resolve_roots(np.array([0, 0, 1], dtype=np.int64))
         assert timers.calls.get("kernel.resolve_roots") == 1
         assert timers.seconds["kernel.resolve_roots"] >= 0.0
 
     def test_unknown_attribute(self):
-        d = KernelDispatch(get_kernel_set("numpy"))
+        d = KernelDispatch()
         with pytest.raises(AttributeError):
             d.not_a_kernel
         with pytest.raises(AttributeError):
             d._private_probe
 
     def test_pickle_roundtrip(self):
-        d = make_dispatch("python")
+        d = KernelDispatch(HostTimers())
         d.resolve_roots(np.array([0, 0], dtype=np.int64))
         clone = pickle.loads(pickle.dumps(d))
-        assert clone.backend == d.backend
         assert clone.counters == {"resolve_roots": 1}
         # the clone keeps dispatching (and counting) after the roundtrip
         clone.pointer_jump(np.array([0, 0], dtype=np.int64))
         assert clone.counters["pointer_jump"] == 1
 
     def test_bind_timers_rebuilds_wrappers(self):
-        d = KernelDispatch(get_kernel_set("numpy"))
+        d = KernelDispatch()
         d.resolve_roots(np.array([0], dtype=np.int64))
         timers = HostTimers()
         d.bind_timers(timers)
@@ -177,54 +73,59 @@ class TestKernelDispatch:
         assert timers.calls.get("kernel.resolve_roots") == 1
         assert d.counters["resolve_roots"] == 2
 
+    def test_calls_the_module_binding(self, monkeypatch):
+        # the function is looked up on numpy_impl at first use, so a
+        # wrapper installed on the module before a run is what runs
+        seen = []
+        real = numpy_impl.rape_mirrors
+
+        def spy(*args):
+            seen.append(len(args))
+            return real(*args)
+
+        monkeypatch.setattr(numpy_impl, "rape_mirrors", spy)
+        d = KernelDispatch()
+        ids = np.array([0], dtype=np.int64)
+        d.rape_mirrors(np.array([3], dtype=np.int64), ids, ids)
+        assert seen == [3]
+        assert d.counters == {"rape_mirrors": 1}
+
 
 class TestConfigSurface:
-    def test_default_is_auto(self):
-        assert AmstConfig().backend == "auto"
-
-    @pytest.mark.parametrize("tier", BACKENDS)
-    def test_all_tiers_accepted(self, tier):
-        assert AmstConfig(backend=tier).backend == tier
-
     def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            AmstConfig(backend="fpga")
+        # there is one kernel tier: no config field selects another
+        with pytest.raises(TypeError):
+            AmstConfig(backend="numba")
 
     def test_run_override(self):
-        out = Amst(AmstConfig.full(4, cache_vertices=16)).run(
-            paper_example(), backend="python")
-        assert out.state.kernels.backend == "python"
+        # ...and no per-run override either
+        with pytest.raises(TypeError):
+            Amst(AmstConfig.full(4, cache_vertices=16)).run(
+                paper_example(), backend="numpy")
 
     def test_cli_backend_flag(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(["run", "--backend", "numba"])
-        assert args.backend == "numba"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--backend", "fpga"])
+        for command in ("run", "verify", "update", "scaleout"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--backend", "numpy"])
 
 
 class TestRunIntegration:
     def test_dispatch_counters_flow(self):
-        cfg = AmstConfig.full(4, cache_vertices=16).with_(backend="python")
-        out = Amst(cfg).run(paper_example())
+        out = Amst(AmstConfig.full(4, cache_vertices=16)).run(
+            paper_example())
         kernels = out.state.kernels
-        assert kernels.backend == "python"
         assert kernels.counters.get("resolve_roots", 0) > 0
         assert kernels.counters.get("fm_scan", 0) > 0
         assert kernels.counters.get("cm_commit", 0) > 0
 
     def test_host_profile_rows(self):
-        cfg = AmstConfig.full(4, cache_vertices=16).with_(backend="numpy")
-        out = Amst(cfg).run(paper_example())
+        out = Amst(AmstConfig.full(4, cache_vertices=16)).run(
+            paper_example())
         timing = out.report.extra["host_timing"]
         assert any(name.startswith("kernel.") for name in timing)
-        timers = HostTimers()
-        for name, row in timing.items():
-            timers.seconds[name] = row["seconds"]
-            timers.calls[name] = int(row["calls"])
-        text = format_host_profile(timers, backend="numpy")
-        assert "backend = numpy" in text
+        text = format_host_profile(timing)
         assert "per kernel" in text
         assert "kernel.fm_scan" in text
 
@@ -232,6 +133,10 @@ class TestRunIntegration:
         text = format_host_profile(HostTimers())
         assert "backend" not in text
         assert "(no samples recorded)" in text
+        out = Amst(AmstConfig.full(4, cache_vertices=16)).run(
+            paper_example())
+        assert "backend" not in format_host_profile(
+            out.report.extra["host_timing"])
 
 
 class TestLRUCacheWiring:
@@ -240,7 +145,8 @@ class TestLRUCacheWiring:
         ids = np.array([1, 2, 3, 1, 2, 3, 17, 1], dtype=np.int64)
         hits = cache.lookup(ids)
         assert hits.dtype == np.bool_
-        assert cache._kern().backend == "numpy"
+        assert isinstance(cache._kernels, KernelDispatch)
+        assert cache._kernels.counters == {"lru_replay": 1}
 
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(11)
@@ -251,7 +157,7 @@ class TestLRUCacheWiring:
         assert vec.stats.evictions == ref.stats.evictions
 
     def test_injected_dispatcher_is_used(self):
-        d = make_dispatch("python")
+        d = KernelDispatch()
         cache = LRUCache(capacity=8, ways=2, kernels=d)
         cache.lookup(np.array([1, 2, 3], dtype=np.int64))
         assert d.counters.get("lru_replay", 0) == 1

@@ -1,10 +1,11 @@
-"""Unit tests for the multi-FPGA scale-out extension."""
+"""Unit tests for the multi-card scale-out path (``repro.fabric``)."""
 
 import numpy as np
 import pytest
 
-from repro.core import AmstConfig, partition_vertices, run_scale_out
-from repro.core.scale_out import _partition_edges
+from repro.core import AmstConfig
+from repro.fabric import partition_vertices, run_fabric
+from repro.fabric.partition import shard_slices
 from repro.graph import from_edges, rmat, road_lattice
 from repro.mst import kruskal, validate_mst
 
@@ -71,111 +72,107 @@ class TestPartitionEdges:
     def test_matches_boolean_sweeps(self, strategy, cards):
         g = rmat(7, 8, rng=17)
         part = partition_vertices(g.num_vertices, cards, strategy=strategy)
-        u, v, _ = g.edge_endpoints()
+        u, _, _ = g.edge_endpoints()
         edge_card = part[u]
-        internal = edge_card == part[v]
-        sorted_eids, bounds = _partition_edges(edge_card, internal, cards)
+        sorted_eids, bounds = shard_slices(edge_card, cards)
         assert bounds.shape == (cards + 1,)
-        assert bounds[-1] == int(internal.sum())
+        assert bounds[-1] == g.num_edges
         for card in range(cards):
-            expected = np.flatnonzero(internal & (edge_card == card))
+            expected = np.flatnonzero(edge_card == card)
             got = sorted_eids[bounds[card]:bounds[card + 1]]
             np.testing.assert_array_equal(got, expected)
 
     def test_empty_edge_set(self):
         edge_card = np.empty(0, dtype=np.int64)
-        internal = np.empty(0, dtype=bool)
-        sorted_eids, bounds = _partition_edges(edge_card, internal, 4)
+        sorted_eids, bounds = shard_slices(edge_card, 4)
         assert sorted_eids.size == 0
         assert bounds.tolist() == [0] * 5
 
     def test_trailing_empty_cards(self):
-        # all internal edges on card 0; cards 1..3 must get empty slices
+        # all edges on card 0; cards 1..3 must get empty slices
         edge_card = np.zeros(5, dtype=np.int64)
-        internal = np.ones(5, dtype=bool)
-        sorted_eids, bounds = _partition_edges(edge_card, internal, 4)
+        sorted_eids, bounds = shard_slices(edge_card, 4)
         assert sorted_eids.tolist() == [0, 1, 2, 3, 4]
         assert bounds.tolist() == [0, 5, 5, 5, 5]
 
 
 class TestScaleOutCorrectness:
     @pytest.mark.parametrize("cards", [1, 2, 4])
-    @pytest.mark.parametrize("strategy", ["block", "hash"])
-    def test_exact_forest_weight(self, cards, strategy):
+    @pytest.mark.parametrize("partitioner", ["range", "hash"])
+    def test_exact_forest_weight(self, cards, partitioner):
         g = rmat(9, 8, rng=1)
         ref = kruskal(g)
-        r = run_scale_out(g, cards, CFG, strategy=strategy)
+        r = run_fabric(g, cards, CFG, partitioner=partitioner)
         validate_mst(g, r.result, reference=ref)
 
     def test_disconnected_graph(self):
         g = road_lattice(20, 20, drop_prob=0.3, rng=2)
         ref = kruskal(g)
-        r = run_scale_out(g, 4, CFG)
+        r = run_fabric(g, 4, CFG)
         validate_mst(g, r.result, reference=ref)
 
     def test_single_card_degenerates_to_plain_run(self):
         g = rmat(8, 6, rng=3)
-        r = run_scale_out(g, 1, CFG)
-        assert r.report.cut_edges == 0
-        assert r.report.exchange_seconds == 0.0
+        r = run_fabric(g, 1, CFG)
+        assert r.plan.stats.cut_edges == 0
+        assert r.network.reduce_seconds == 0.0
         validate_mst(g, r.result, reference=kruskal(g))
 
     def test_num_cards_recorded(self):
         g = rmat(8, 6, rng=4)
-        r = run_scale_out(g, 2, CFG)
+        r = run_fabric(g, 2, CFG)
         assert r.result.extras["num_cards"] == 2
-        assert r.report.num_cards == 2
-        assert len(r.report.local_outputs) == 2
+        assert r.plan.num_cards == 2
+        assert len(r.local_outputs) == 2
 
-    @pytest.mark.parametrize("strategy", ["block", "hash"])
-    def test_more_cards_than_vertices(self, strategy):
+    @pytest.mark.parametrize("partitioner", ["range", "hash"])
+    def test_more_cards_than_vertices(self, partitioner):
         u = np.array([0, 1, 2], dtype=np.int64)
         v = np.array([1, 2, 3], dtype=np.int64)
         w = np.array([1.0, 2.0, 3.0])
         g = from_edges(4, u, v, w)
-        r = run_scale_out(g, 8, CFG, strategy=strategy)
+        r = run_fabric(g, 8, CFG, partitioner=partitioner)
         validate_mst(g, r.result, reference=kruskal(g))
-        assert len(r.report.local_outputs) == 8
+        assert len(r.local_outputs) == 8
 
     def test_jobs_parity_with_serial(self):
         g = rmat(9, 8, rng=21)
-        serial = run_scale_out(g, 4, CFG)
-        pooled = run_scale_out(g, 4, CFG, jobs=2)
+        serial = run_fabric(g, 4, CFG)
+        pooled = run_fabric(g, 4, CFG, jobs=2)
         np.testing.assert_array_equal(serial.result.edge_ids,
                                       pooled.result.edge_ids)
         assert serial.result.total_weight == pooled.result.total_weight
-        assert serial.report.local_seconds == pooled.report.local_seconds
-        assert serial.report.cut_edges == pooled.report.cut_edges
-        for a, b in zip(serial.report.local_outputs,
-                        pooled.report.local_outputs):
+        assert serial.local_seconds == pooled.local_seconds
+        assert serial.plan.stats.cut_edges == pooled.plan.stats.cut_edges
+        for a, b in zip(serial.local_outputs, pooled.local_outputs):
             assert a.report.total_cycles == b.report.total_cycles
-        assert pooled.report.host_phase1_seconds > 0.0
+        assert pooled.host_phase1_seconds > 0.0
 
 
 class TestScaleOutModel:
     def test_local_phase_shrinks_with_cards(self):
         g = rmat(11, 16, rng=5)
-        one = run_scale_out(g, 1, CFG)
-        four = run_scale_out(g, 4, CFG)
-        assert four.report.local_seconds < one.report.local_seconds
+        one = run_fabric(g, 1, CFG)
+        four = run_fabric(g, 4, CFG)
+        assert four.local_seconds < one.local_seconds
 
     def test_cut_edges_grow_with_cards(self):
         g = rmat(10, 8, rng=6)
-        two = run_scale_out(g, 2, CFG)
-        eight = run_scale_out(g, 8, CFG)
-        assert eight.report.cut_edges >= two.report.cut_edges
+        two = run_fabric(g, 2, CFG)
+        eight = run_fabric(g, 8, CFG)
+        assert eight.plan.stats.cut_edges >= two.plan.stats.cut_edges
 
     def test_energy_accumulates_cards(self):
         g = rmat(10, 8, rng=7)
-        r = run_scale_out(g, 4, CFG)
-        local = sum(o.report.energy_joules for o in r.report.local_outputs)
-        assert r.report.energy_joules >= local
+        r = run_fabric(g, 4, CFG)
+        local = sum(o.report.energy_joules for o in r.local_outputs)
+        assert r.energy_joules >= local
 
     def test_block_cuts_fewer_lattice_edges_than_hash(self):
         g = road_lattice(30, 30, rng=8)
-        block = run_scale_out(g, 4, CFG, strategy="block")
-        hashed = run_scale_out(g, 4, CFG, strategy="hash")
-        assert block.report.cut_edges < hashed.report.cut_edges
+        block = run_fabric(g, 4, CFG, partitioner="range")
+        hashed = run_fabric(g, 4, CFG, partitioner="hash")
+        assert block.plan.stats.cut_edges < hashed.plan.stats.cut_edges
 
 
 class TestCardCountValidation:
@@ -185,56 +182,26 @@ class TestCardCountValidation:
     def test_non_positive_cards_rejected(self, bad):
         g = road_lattice(4, 4, rng=0)
         with pytest.raises(ValueError, match="num_cards must be >= 1"):
-            run_scale_out(g, bad, CFG)
+            run_fabric(g, bad, CFG)
 
     @pytest.mark.parametrize("bad", [2.0, 3.5, "4", None, True])
     def test_non_integer_cards_rejected(self, bad):
         g = road_lattice(4, 4, rng=0)
         with pytest.raises(TypeError, match="num_cards must be an integer"):
-            run_scale_out(g, bad, CFG)
+            run_fabric(g, bad, CFG)
 
     @pytest.mark.parametrize("cards", [3, 5, 6, 7])
     def test_non_power_of_two_cards_exact(self, cards):
         # the reduction tree pairs (lo, lo + stride) for any count, so
         # odd/non-power-of-two card counts are first-class
         g = rmat(8, 8, rng=11)
-        serial = run_scale_out(g, 1, CFG)
-        r = run_scale_out(g, cards, CFG)
+        serial = run_fabric(g, 1, CFG)
+        r = run_fabric(g, cards, CFG)
         np.testing.assert_array_equal(r.result.edge_ids,
                                       serial.result.edge_ids)
-        assert len(r.report.local_outputs) == cards
+        assert len(r.local_outputs) == cards
 
     def test_numpy_integer_cards_accepted(self):
         g = road_lattice(4, 4, rng=0)
-        r = run_scale_out(g, np.int64(2), CFG)
-        assert r.report.num_cards == 2
-
-
-class TestStrategyDeprecation:
-    """``strategy=`` still works but warns, verbatim, toward
-    ``partitioner=``; the replacement spelling stays silent."""
-
-    def test_strategy_warns_with_pinned_text(self):
-        g = road_lattice(4, 4, rng=0)
-        with pytest.warns(
-            DeprecationWarning,
-            match=r"^run_scale_out\(strategy=\.\.\.\) is deprecated; "
-                  r"use partitioner= instead$",
-        ):
-            r = run_scale_out(g, 2, CFG, strategy="block")
-        assert r.report.num_cards == 2
-
-    def test_partitioner_does_not_warn(self):
-        import warnings
-
-        g = road_lattice(4, 4, rng=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            run_scale_out(g, 2, CFG, partitioner="range")
-            run_scale_out(g, 2, CFG)
-
-    def test_strategy_and_partitioner_conflict(self):
-        g = road_lattice(4, 4, rng=0)
-        with pytest.raises(ValueError):
-            run_scale_out(g, 2, CFG, strategy="block",
-                          partitioner="block")
+        r = run_fabric(g, np.int64(2), CFG)
+        assert r.plan.num_cards == 2

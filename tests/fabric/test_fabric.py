@@ -1,9 +1,11 @@
-"""Fabric engine: byte-identity, round structure, wrapper back-compat."""
+"""Fabric engine: byte-identity, round structure, the CLI front-end."""
 
 import numpy as np
 import pytest
 
-from repro.core import Amst, AmstConfig, run_scale_out
+from repro.bench.datasets import default_cache_vertices, load
+from repro.cli import main
+from repro.core import Amst, AmstConfig
 from repro.fabric import FabricRun, run_fabric
 from repro.graph import from_edges, rmat, road_lattice
 from repro.mst import kruskal, validate_mst
@@ -148,41 +150,57 @@ class TestNetworkAttachment:
 
 
 class TestScaleOutWrapper:
-    def test_legacy_strategy_maps_to_partitioner(self, lattice):
-        r = run_scale_out(lattice, 4, CFG, strategy="block")
-        assert r.report.partitioner == "range"
-        r = run_scale_out(lattice, 4, CFG, strategy="hash")
-        assert r.report.partitioner == "hash"
+    """``amst scaleout``: the CLI front-end that wraps ``run_fabric``."""
 
-    def test_strategy_and_partitioner_conflict(self, lattice):
-        with pytest.raises(ValueError, match="not both"):
-            run_scale_out(lattice, 4, CFG, strategy="block",
-                          partitioner="grid2d")
+    SCALE = 0.05
+
+    def _cli(self, capsys, *args):
+        assert main(["scaleout", "--dataset", "EF", "--scale",
+                     str(self.SCALE), "--parallelism", "8", *args]) == 0
+        return capsys.readouterr().out
+
+    def _fabric(self, cards, **kwargs):
+        g = load("EF", seed=0, size=self.SCALE)
+        cfg = AmstConfig.full(
+            8, cache_vertices=default_cache_vertices(self.SCALE))
+        return run_fabric(g, cards, cfg, **kwargs)
 
     @pytest.mark.parametrize("partitioner", PARTITIONERS)
-    def test_wrapper_forest_identity(self, lattice, partitioner):
-        r = run_scale_out(lattice, 4, CFG, partitioner=partitioner)
-        assert np.array_equal(r.result.edge_ids,
-                              _serial(lattice).edge_ids)
+    def test_wrapper_forest_identity(self, capsys, partitioner):
+        out = self._cli(capsys, "--cards", "4",
+                        "--partitioner", partitioner, "--validate")
+        assert f"cards        : 4 ({partitioner} partition, jobs=1)" in out
+        assert "validation   : forest matches Kruskal" in out
 
-    def test_report_fabric_fields(self, lattice):
-        r = run_scale_out(lattice, 4, CFG, partitioner="edge-cut",
-                          net_profile="eth100g")
-        rep = r.report
-        assert rep.net_profile == "eth100g"
-        assert rep.num_rounds == 3  # scatter + 2 reduce
-        assert rep.messages > 0 and rep.message_bytes > 0
-        assert rep.exchange_seconds > 0
-        assert rep.scatter_seconds > 0
-        assert rep.network["total_seconds"] == pytest.approx(
-            rep.scatter_seconds + rep.exchange_seconds)
-        assert rep.partition_stats["cut_edges"] == rep.cut_edges
+    def test_report_fabric_fields(self, capsys):
+        out = self._cli(capsys, "--cards", "4", "--partitioner",
+                        "edge-cut", "--net-profile", "eth100g")
+        run = self._fabric(4, partitioner="edge-cut", net_profile="eth100g")
+        net, stats = run.network, run.plan.stats
+        assert len(run.rounds) == 3  # scatter + 2 reduce
+        assert net.reduce_seconds > 0 and net.scatter_seconds > 0
+        for line in (
+            f"forest       : {run.result.num_edges:,} edges",
+            f"cut edges    : {stats.cut_edges:,} "
+            f"({100 * stats.cut_fraction:.1f}% of edges)",
+            f"fabric       : 3 round(s), {net.total_messages:,} "
+            f"message(s), {net.total_bytes:,} bytes, "
+            f"{run.boundary_edges:,} boundary record(s)",
+            f"network      : eth100g — scatter "
+            f"{net.scatter_seconds * 1e3:.3f} ms, reduce "
+            f"{net.reduce_seconds * 1e3:.3f} ms",
+            f"modelled time: local {run.local_seconds * 1e3:.3f} ms + "
+            f"exchange {net.reduce_seconds * 1e3:.3f} ms + "
+            f"merge {run.merge_seconds * 1e3:.3f} ms",
+            f"energy       : {run.energy_joules * 1e3:.3f} mJ",
+        ):
+            assert line in out
 
-    def test_single_card_degenerate(self, lattice):
-        r = run_scale_out(lattice, 1, CFG)
-        assert r.report.num_rounds == 0
-        assert r.report.exchange_seconds == 0.0
-        assert r.report.network == {}
+    def test_single_card_degenerate(self, capsys):
+        out = self._cli(capsys, "--cards", "1")
+        assert "cut edges    : 0 (0.0% of edges)" in out
+        assert "fabric       : 1 round(s)" in out  # the scatter only
+        assert "reduce 0.000 ms" in out
 
 
 class TestValidation:

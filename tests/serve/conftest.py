@@ -45,12 +45,9 @@ def graph_of(payload: dict):
 
 def job_config(params: dict) -> AmstConfig:
     """Mirror of the daemon's ``_job_config`` defaulting."""
-    cfg = AmstConfig.full(
+    return AmstConfig.full(
         int(params.get("parallelism", 16)),
         cache_vertices=int(params.get("cache_vertices", 1 << 19)))
-    if params.get("backend", "auto") != "auto":
-        cfg = cfg.with_(backend=params["backend"])
-    return cfg
 
 
 def serial_run(graph, params: dict) -> dict:

@@ -75,6 +75,12 @@ class TestWorkerCrash:
                           params={"fault": "crash"})
         assert info.value.code == "bad_request"
         assert "fault" in info.value.details["unknown"]
+        # there is one kernel tier, so `backend` is an unknown key too
+        with pytest.raises(ServeClientError) as info:
+            client.submit(kind="run", graph=fp,
+                          params={"backend": "numba"})
+        assert info.value.code == "bad_request"
+        assert "backend" in info.value.details["unknown"]
 
 
 class TestMalformedRequests:

@@ -207,10 +207,11 @@ class TestGraphTransforms:
     @SLOW
     @given(random_graphs(max_n=14), st.integers(1, 4))
     def test_scale_out_matches_kruskal(self, g, cards):
-        from repro.core import AmstConfig, run_scale_out
+        from repro.core import AmstConfig
+        from repro.fabric import run_fabric
 
         cfg = AmstConfig.full(4, cache_vertices=8)
-        r = run_scale_out(g, cards, cfg)
+        r = run_fabric(g, cards, cfg)
         assert r.result.same_forest_weight(kruskal(g))
 
     @SLOW

@@ -1,53 +1,34 @@
-"""Byte-identity of the compiled kernel tier (satellite of PR 6).
+"""Each kernel of ``repro.kernels.numpy_impl`` against an independent
+reference.
 
-The contract the kernel tier ships under: every backend produces the
-*same bytes* — values, dtypes, in-place mutations, tie-breaks — as the
-NumPy reference implementations.  Property tests drive the shared
-adversarial strategies (``repro.verify.strategies``) through each
-kernel on every non-reference tier available in this interpreter:
+The NumPy kernels are the simulator's only implementation of its hot
+loops, so each is pinned — values, dtypes, in-place mutations and
+tie-breaks — against a scalar reference that shares no code with it:
 
-* ``python`` — the undecorated loop bodies.  Always testable, and it is
-  **the exact code Numba compiles**, so loop-algorithm identity is
-  proven even on hosts without Numba;
-* ``numba`` — the ``@njit``-compiled tier, exercised automatically when
-  Numba is importable (the CI ``kernels`` job installs it).
+* ``lru_replay`` against :class:`~repro.memory.ScalarLRUCache`;
+* ``resolve_roots``, ``pointer_jump`` and ``find_many`` against the
+  scalar :meth:`~repro.mst.UnionFind.find`;
+* ``kruskal_union`` against a :meth:`~repro.mst.UnionFind.union` loop;
+* ``fm_scan`` (both SEW branches, tie-heavy weights), ``cm_commit``
+  (gather before scatter) and ``rape_mirrors`` against short
+  brute-force loops written here.
 
-On top of the per-kernel properties, end-to-end runs and the golden
-suite must serialize byte-identically across backends — the exact gate
-``amst verify --backend numba`` enforces.
+Inputs come from the shared adversarial strategies
+(``repro.verify.strategies``).
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import main
-from repro.core import Amst, AmstConfig
-from repro.kernels import get_kernel_set, numba_available
+from repro.graph import paper_example
+from repro.kernels import numpy_impl
 from repro.memory import ScalarLRUCache
-from repro.mst import kruskal, pointer_jump
-from repro.verify.golden import (
-    GOLDEN_CASES,
-    compute_golden_record,
-    golden_dir,
-    serialize_record,
-)
+from repro.mst import UnionFind, kruskal, pointer_jump
 from repro.verify.strategies import forests, graphs
-
-#: every non-reference tier importable here; CI's kernels job adds numba
-TIERS = ["python"] + (["numba"] if numba_available() else [])
-
-REF = get_kernel_set("numpy").fns
 
 FAST = settings(max_examples=60, deadline=None)
 RUNS = settings(max_examples=20, deadline=None)
-
-
-def _fns(tier):
-    kset = get_kernel_set(tier)
-    assert kset.backend == tier  # build must not have degraded
-    return kset.fns
 
 
 def _identical(a, b):
@@ -62,61 +43,80 @@ def _identical(a, b):
     np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("tier", TIERS)
+def _scalar_roots(parent, xs=None):
+    """Roots by the scalar ``UnionFind.find`` on a copy of ``parent``."""
+    uf = UnionFind(parent.size)
+    uf.parent = parent.copy()
+    xs = range(parent.size) if xs is None else xs
+    return np.array([uf.find(int(x)) for x in xs], dtype=np.int64)
+
+
 class TestUnionFindKernels:
     @given(parent=forests())
     @FAST
-    def test_resolve_roots(self, tier, parent):
-        _identical(_fns(tier)["resolve_roots"](parent.copy()),
-                   REF["resolve_roots"](parent.copy()))
+    def test_resolve_roots(self, parent):
+        before = parent.copy()
+        _identical(numpy_impl.resolve_roots(parent), _scalar_roots(parent))
+        _identical(parent, before)  # the input is never modified
 
     @given(parent=forests())
     @FAST
-    def test_pointer_jump_mutates_identically(self, tier, parent):
-        a, b = parent.copy(), parent.copy()
-        _identical(_fns(tier)["pointer_jump"](a),
-                   REF["pointer_jump"](b))
-        _identical(a, b)  # in-place compression must also match
+    def test_pointer_jump_mutates_identically(self, parent):
+        want = _scalar_roots(parent)
+        got = numpy_impl.pointer_jump(parent)
+        assert got is parent  # compressed in place
+        _identical(parent, want)
 
     @given(parent=forests(), data=st.data())
     @FAST
-    def test_find_many(self, tier, parent, data):
+    def test_find_many(self, parent, data):
         k = data.draw(st.integers(0, 8))
         xs = np.array(
             data.draw(st.lists(st.integers(0, parent.size - 1),
                                min_size=k, max_size=k)),
             dtype=np.int64,
         )
-        _identical(_fns(tier)["find_many"](parent.copy(), xs),
-                   REF["find_many"](parent.copy(), xs))
+        before = parent.copy()
+        _identical(numpy_impl.find_many(parent, xs),
+                   _scalar_roots(parent, xs))
+        _identical(parent, before)  # read-only batch
 
 
-@pytest.mark.parametrize("tier", TIERS)
+def _cm_commit_reference(parent, roots, root_final, leaf_ids):
+    out = parent.copy()
+    for r, f in zip(roots, root_final):
+        out[r] = f
+    hops = [out[out[leaf]] for leaf in leaf_ids]  # gather every leaf...
+    for leaf, hop in zip(leaf_ids, hops):  # ...before any write lands
+        out[leaf] = hop
+    return out
+
+
 class TestForestKernels:
     @given(g=graphs())
     @RUNS
-    def test_kruskal_backend_path(self, tier, g):
-        ref, got = kruskal(g), kruskal(g, backend=tier)
-        np.testing.assert_array_equal(ref.edge_ids, got.edge_ids)
-        assert got.edge_ids.dtype == ref.edge_ids.dtype
-        assert got.total_weight == ref.total_weight
-        assert got.num_components == ref.num_components
-
-    @given(g=graphs())
-    @RUNS
-    def test_pointer_jump_backend_path(self, tier, g):
-        res = kruskal(g)
-        eu, ev, _ = g.edge_endpoints()
-        parent = np.arange(g.num_vertices, dtype=np.int64)
-        for e in res.edge_ids:  # build a forest worth compressing
-            u, v = int(eu[e]), int(ev[e])
-            parent[max(u, v)] = min(u, v)
-        _identical(pointer_jump(parent.copy(), backend=tier),
-                   pointer_jump(parent.copy()))
+    def test_kruskal_union(self, g):
+        u, v, w = g.edge_endpoints()
+        order = np.lexsort((np.arange(u.size), w))
+        u, v, w = u[order], v[order], w[order]
+        uf = UnionFind(g.num_vertices)
+        want = np.zeros(u.size, dtype=bool)
+        total = 0.0
+        for e in range(u.size):
+            if uf.union(int(u[e]), int(v[e])):
+                want[e] = True
+                total += float(w[e])
+                if uf.num_components == 1:
+                    break
+        chosen, comps, got_total = numpy_impl.kruskal_union(
+            g.num_vertices, u, v, w)
+        _identical(chosen, want)
+        assert comps == uf.num_components
+        assert float(got_total) == total  # same order of float additions
 
     @given(parent=forests(), data=st.data())
     @FAST
-    def test_cm_commit(self, tier, parent, data):
+    def test_cm_commit(self, parent, data):
         n = parent.size
         roots = np.flatnonzero(parent == np.arange(n)).astype(np.int64)
         leaf_ids = np.flatnonzero(parent != np.arange(n)).astype(np.int64)
@@ -125,13 +125,15 @@ class TestForestKernels:
                                min_size=roots.size, max_size=roots.size)),
             dtype=np.int64,
         )
+        before = parent.copy()
         _identical(
-            _fns(tier)["cm_commit"](parent, roots, root_final, leaf_ids),
-            REF["cm_commit"](parent, roots, root_final, leaf_ids))
+            numpy_impl.cm_commit(parent, roots, root_final, leaf_ids),
+            _cm_commit_reference(parent, roots, root_final, leaf_ids))
+        _identical(parent, before)  # a fresh array is returned
 
     @given(data=st.data())
     @FAST
-    def test_rape_mirrors(self, tier, data):
+    def test_rape_mirrors(self, data):
         n = data.draw(st.integers(1, 24))
         me_eid = np.array(
             data.draw(st.lists(st.integers(-1, 6),
@@ -144,8 +146,10 @@ class TestForestKernels:
                         dtype=np.int64)
         tgt = np.array(data.draw(st.lists(idx, min_size=k, max_size=k)),
                        dtype=np.int64)
-        _identical(_fns(tier)["rape_mirrors"](me_eid, cand, tgt),
-                   REF["rape_mirrors"](me_eid, cand, tgt))
+        want = np.array(
+            [me_eid[t] == me_eid[c] and c < t for c, t in zip(cand, tgt)],
+            dtype=bool)
+        _identical(numpy_impl.rape_mirrors(me_eid, cand, tgt), want)
 
 
 @st.composite
@@ -172,43 +176,67 @@ def _fm_inputs(draw):
     return external, offsets, seg_id, w, eid
 
 
-@pytest.mark.parametrize("tier", TIERS)
+def _fm_scan_reference(external, offsets, w, eid, sew):
+    first, found, exam_end, cand = [], [], [], []
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        ext = [j for j in range(lo, hi) if external[j]]
+        f = ext[0] if ext else hi
+        first.append(f)
+        found.append(bool(ext))
+        if sew:  # stop after the first external edge, which is picked
+            exam_end.append(f + 1 if ext else hi)
+            cand.append(f if ext else -1)
+        else:  # scan the whole segment for the min (weight, eid) edge
+            exam_end.append(hi)
+            cand.append(min(ext, key=lambda j: (w[j], eid[j], j))
+                        if ext else -1)
+    return (np.array(first, dtype=np.int64), np.array(found, dtype=bool),
+            np.array(exam_end, dtype=np.int64),
+            np.array(cand, dtype=np.int64))
+
+
 class TestScanKernels:
     @given(inputs=_fm_inputs(), sew=st.booleans())
     @FAST
-    def test_fm_scan(self, tier, inputs, sew):
+    def test_fm_scan(self, inputs, sew):
         external, offsets, seg_id, w, eid = inputs
+        want = _fm_scan_reference(external, offsets, w, eid, sew)
         if sew:  # SEW mode never reads weights/eids (pre-sorted rows)
             w = np.empty(0, dtype=np.float64)
             eid = np.empty(0, dtype=np.int64)
         _identical(
-            _fns(tier)["fm_scan"](external, offsets, seg_id, w, eid, sew),
-            REF["fm_scan"](external, offsets, seg_id, w, eid, sew))
+            numpy_impl.fm_scan(external, offsets, seg_id, w, eid, sew),
+            want)
 
     @given(data=st.data())
     @FAST
-    def test_lru_replay(self, tier, data):
+    def test_lru_replay(self, data):
+        # two batches, so the second replays over a warm cache state
         nsets = data.draw(st.sampled_from([1, 2, 4]))
         ways = data.draw(st.sampled_from([1, 2, 4]))
-        k = data.draw(st.integers(0, 40))
-        ids = np.array(
-            data.draw(st.lists(st.integers(0, 5 * nsets * ways),
-                               min_size=k, max_size=k)),
-            dtype=np.int64,
-        )
-        shape = (nsets, ways)
-        tags_a = np.full(shape, -1, dtype=np.int64)
-        stamps_a = np.zeros(shape, dtype=np.int64)
-        tags_b, stamps_b = tags_a.copy(), stamps_a.copy()
-        _identical(
-            _fns(tier)["lru_replay"](ids, tags_a, stamps_a, 0, nsets, ways),
-            REF["lru_replay"](ids, tags_b, stamps_b, 0, nsets, ways))
-        _identical(tags_a, tags_b)  # cache state mutated identically
-        _identical(stamps_a, stamps_b)
+        ref = ScalarLRUCache(nsets * ways, ways=ways)
+        tags = np.full((nsets, ways), -1, dtype=np.int64)
+        stamps = np.zeros((nsets, ways), dtype=np.int64)
+        clock = 0
+        for _ in range(2):
+            ids = np.array(
+                data.draw(st.lists(st.integers(0, 5 * nsets * ways),
+                                   max_size=40)),
+                dtype=np.int64,
+            )
+            evicted = ref.stats.evictions
+            want = ref.lookup(ids)
+            hits, evictions, clock = numpy_impl.lru_replay(
+                ids, tags, stamps, clock, nsets, ways)
+            _identical(hits, want)
+            assert evictions == ref.stats.evictions - evicted
+            assert clock == ref._clock
+            _identical(tags, ref._tags)  # cache state mutated identically
+            _identical(stamps, ref._stamp)
 
     @given(data=st.data())
     @FAST
-    def test_lru_replay_matches_scalar_model(self, tier, data):
+    def test_lru_replay_matches_scalar_model(self, data):
         ways = data.draw(st.sampled_from([2, 4]))
         capacity = data.draw(st.sampled_from([8, 16]))
         k = data.draw(st.integers(0, 40))
@@ -222,54 +250,24 @@ class TestScanKernels:
         nsets = capacity // ways
         tags = np.full((nsets, ways), -1, dtype=np.int64)
         stamps = np.zeros((nsets, ways), dtype=np.int64)
-        hits, evictions, _ = _fns(tier)["lru_replay"](
+        hits, evictions, _ = numpy_impl.lru_replay(
             ids, tags, stamps, 0, nsets, ways)
         np.testing.assert_array_equal(hits, want)
         assert int(evictions) == ref.stats.evictions
 
 
-END_TO_END_CONFIGS = (
-    AmstConfig.full(4, cache_vertices=16),
-    AmstConfig(parallelism=2, cache_vertices=16,
-               use_hdc=False, hash_cache=False),
-    AmstConfig.full(4, cache_vertices=16).with_(
-        lru_cache=True, hash_cache=False),
-)
+class TestOneCopyOfEachLoop:
+    def test_mst_helpers_call_the_kernels(self, monkeypatch):
+        calls = []
+        for name in ("kruskal_union", "pointer_jump", "find_many"):
+            real = getattr(numpy_impl, name)
 
+            def spy(*args, _name=name, _real=real):
+                calls.append(_name)
+                return _real(*args)
 
-@pytest.mark.parametrize("tier", TIERS)
-class TestEndToEndIdentity:
-    @given(g=graphs(), cfg=st.sampled_from(END_TO_END_CONFIGS))
-    @RUNS
-    def test_full_run(self, tier, g, cfg):
-        ref = Amst(cfg.with_(backend="numpy")).run(g)
-        got = Amst(cfg.with_(backend=tier)).run(g)
-        np.testing.assert_array_equal(
-            got.result.edge_ids, ref.result.edge_ids)
-        assert got.result.total_weight == ref.result.total_weight
-        assert got.result.num_components == ref.result.num_components
-        assert got.report.total_cycles == ref.report.total_cycles
-        assert got.report.dram_blocks == ref.report.dram_blocks
-        for a, b in zip(got.log.iterations, ref.log.iterations):
-            assert a.counts == b.counts
-
-    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-    def test_golden_bytes(self, tier, name):
-        blessed = (golden_dir() / f"{name}.json").read_text()
-        record = compute_golden_record(name, backend=tier)
-        assert serialize_record(record) == blessed
-
-
-class TestVerifyCLI:
-    def test_verify_case_with_backend(self, capsys):
-        # resolves to the compiled tier when numba is importable and
-        # warn-once falls back otherwise — either way the bytes match
-        assert main(["verify", "--case", "paper-full",
-                     "--backend", "numba"]) == 0
-        out = capsys.readouterr().out
-        assert "ok" in out
-
-    def test_verify_case_python_tier(self, capsys):
-        assert main(["verify", "--case", "dup-forest-full",
-                     "--backend", "python"]) == 0
-        assert "ok" in capsys.readouterr().out
+            monkeypatch.setattr(numpy_impl, name, spy)
+        UnionFind(4).find_many(np.array([3, 1], dtype=np.int64))
+        pointer_jump(np.array([0, 0, 1, 2], dtype=np.int64))
+        kruskal(paper_example())
+        assert calls == ["find_many", "pointer_jump", "kruskal_union"]

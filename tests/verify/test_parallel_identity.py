@@ -5,7 +5,7 @@ shared-memory graph handles, process-pool fan-out, the content-addressed
 run cache — must be *invisible* in the outputs.  Property tests drive
 the adversarial graph strategies through:
 
-* ``run_scale_out(jobs=N)`` vs serial — identical edge-id sets, weights
+* ``run_fabric(jobs=N)`` vs serial — identical edge-id sets, weights
   and modelled reports;
 * ``run_oracle(cache=...)`` / ``run_oracle(jobs=N)`` vs plain — the
   same entries and the byte-identical formatted report;
@@ -22,7 +22,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.bench.runcache import RunCache
-from repro.core import AmstConfig, run_scale_out
+from repro.core import AmstConfig
+from repro.fabric import run_fabric
 from repro.verify import run_oracle
 from repro.verify.golden import compute_golden_records, serialize_record
 from repro.verify.strategies import graphs
@@ -51,10 +52,10 @@ def _assert_scale_out_equal(a, b):
     np.testing.assert_array_equal(a.result.edge_ids, b.result.edge_ids)
     assert a.result.total_weight == b.result.total_weight
     assert a.result.num_components == b.result.num_components
-    assert a.report.cut_edges == b.report.cut_edges
-    assert a.report.local_seconds == b.report.local_seconds
-    assert a.report.merge_seconds == b.report.merge_seconds
-    for x, y in zip(a.report.local_outputs, b.report.local_outputs):
+    assert a.plan.stats.cut_edges == b.plan.stats.cut_edges
+    assert a.local_seconds == b.local_seconds
+    assert a.merge_seconds == b.merge_seconds
+    for x, y in zip(a.local_outputs, b.local_outputs):
         assert x.report.total_cycles == y.report.total_cycles
         assert x.report.dram_blocks == y.report.dram_blocks
         np.testing.assert_array_equal(x.result.edge_ids, y.result.edge_ids)
@@ -65,15 +66,15 @@ class TestScaleOutParallelIdentity:
     @POOLED
     @given(graphs(min_vertices=4, max_vertices=20, max_edges=48))
     def test_jobs_matches_serial(self, g):
-        serial = run_scale_out(g, 3, CFG)
-        pooled = run_scale_out(g, 3, CFG, jobs=2)
+        serial = run_fabric(g, 3, CFG)
+        pooled = run_fabric(g, 3, CFG, jobs=2)
         _assert_scale_out_equal(serial, pooled)
 
     @POOLED
     @given(graphs(min_vertices=2, max_vertices=16, max_edges=40))
     def test_jobs_matches_serial_hash_strategy(self, g):
-        serial = run_scale_out(g, 2, CFG, strategy="hash")
-        pooled = run_scale_out(g, 2, CFG, strategy="hash", jobs=2)
+        serial = run_fabric(g, 2, CFG, partitioner="hash")
+        pooled = run_fabric(g, 2, CFG, partitioner="hash", jobs=2)
         _assert_scale_out_equal(serial, pooled)
 
 
