@@ -46,8 +46,7 @@ def bench_scale_out(benchmark, record_table, scale, seed, cache_vertices):
             total = run.local_seconds + exchange + run.merge_seconds
             if base is None:
                 base = total
-            per_card = max(
-                o.state.graph.num_edges for o in run.local_outputs)
+            per_card = max(r.num_edges for r in run.local_reports)
             res.add_row(
                 cards,
                 per_card,

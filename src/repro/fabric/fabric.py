@@ -9,17 +9,20 @@ pre-fabric "one process loops over cards" model:
    and form an exact partition of the edge set.
 2. **Local phase** — per-card worker processes (the
    :mod:`repro.bench.executor` pool over shm-published arrays) each run
-   the full AMST simulator on their shard and keep only their local
-   minimum spanning forest.
+   the full AMST simulator on their shard and ship back only their
+   modelled report and the edge ids of their local minimum spanning
+   forest.
 3. **Reduce** (rounds 1..⌈log2 C⌉) — a binomial reduction tree: in each
    round, card ``lo + stride`` ships its surviving forest to card
    ``lo`` (:class:`ForestShard` + :class:`BoundaryEdges` for the records
    straddling a vertex-ownership boundary) and gets a
-   :class:`ComponentMerges` acknowledgement back.  The receiver merges
-   the two forests with the repo-wide ``(weight, edge id)`` tie-break,
-   so after the last round card 0 holds the global forest.  The tree
-   pairs ``(lo, lo + stride)`` for any card count — non-powers of two
-   simply leave some cards unpaired in some rounds.
+   :class:`ComponentMerges` acknowledgement back.  Each receiver merges
+   the two forests with the repo-wide ``(weight, edge id)`` tie-break;
+   the host solves every merge of a round in one batched Borůvka
+   (:func:`_round_forests`), so after the last round card 0 holds the
+   global forest.  The tree pairs ``(lo, lo + stride)`` for any card
+   count — non-powers of two simply leave some cards unpaired in some
+   rounds.
 
 Every round's messages are counted and sized; the network model
 (:mod:`repro.fabric.netmodel`) turns them into modelled transfer time,
@@ -42,7 +45,9 @@ import numpy as np
 
 from ..core.accelerator import Amst, AmstOutput
 from ..core.config import AmstConfig
+from ..core.perf import PerfReport
 from ..graph.csr import CSRGraph
+from ..kernels import numpy_impl
 from ..mst.result import MSTResult
 from ..obs.context import current_telemetry
 from .messages import (
@@ -65,39 +70,63 @@ class FabricError(RuntimeError):
     """A fabric-level invariant was violated (e.g. merge disagreement)."""
 
 
-def _forest_union(
-    eids: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray
-) -> np.ndarray:
-    """Kruskal over a candidate edge-id set, repo ``(weight, id)`` order.
+def _round_forests(
+    groups: list[np.ndarray],
+    u: np.ndarray,
+    v: np.ndarray,
+    w: np.ndarray,
+    num_vertices: int,
+) -> list[np.ndarray]:
+    """Minimum spanning forest of every candidate edge-id set at once.
 
-    Sparse union-find (dict over touched vertices only) — the reduction
-    tree calls this once per merge over forest-sized sets, so an O(n)
-    per-call relabel would dominate at high card counts.
+    One Borůvka over the disjoint union of the sets: set ``i``'s vertex
+    ``x`` becomes ``i * num_vertices + x`` (then compacted), so no two
+    sets share a component.  Edges are ranked once in the repo
+    ``(weight, id)`` order; each pass picks every component's
+    minimum-rank edge (FM), drops the mirrored half of each mutual pick
+    (RAPE), then hooks and compresses with ``resolve_roots`` (CM).
+    Ranks are unique, so each set keeps exactly the forest Kruskal
+    would.  Returns one sorted edge-id array per set.
     """
-    eids = np.asarray(eids, dtype=np.int64)
+    sizes = [g.size for g in groups]
+    owner = np.repeat(np.arange(len(groups), dtype=np.int64), sizes)
+    eids = np.concatenate(groups).astype(np.int64, copy=False)
     order = np.lexsort((eids, w[eids]))
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
-    kept = []
-    for e in eids[order]:
-        e = int(e)
-        ru, rv = find(int(u[e])), find(int(v[e]))
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-            kept.append(e)
-    return np.sort(np.asarray(kept, dtype=np.int64))
+    owner, eids = owner[order], eids[order]  # position == rank
+    m = eids.size
+    base = owner * num_vertices
+    verts, ends = np.unique(np.concatenate([base + u[eids], base + v[eids]]),
+                            return_inverse=True)
+    a, b = ends[:m], ends[m:]
+    comp = np.arange(verts.size, dtype=np.int64)
+    kept = np.zeros(m, dtype=bool)
+    live = np.flatnonzero(a != b)
+    while live.size:
+        # FM: the minimum-rank edge leaving each component
+        ra, rb = comp[a[live]], comp[b[live]]
+        cross = ra != rb
+        live, ra, rb = live[cross], ra[cross], rb[cross]
+        best = np.full(comp.size, m, dtype=np.int64)
+        np.minimum.at(best, ra, live)
+        np.minimum.at(best, rb, live)
+        roots = np.flatnonzero(best < m)
+        pick = best[roots]
+        kept[pick] = True
+        # RAPE: when both sides picked the same edge, only the larger
+        # root hooks; CM: hook, then compress to the new roots
+        pa = comp[a[pick]]
+        other = np.where(pa == roots, comp[b[pick]], pa)
+        hook = (best[other] != pick) | (roots > other)
+        comp[roots[hook]] = other[hook]
+        comp = numpy_impl.resolve_roots(comp)
+    owner, eids = owner[kept], eids[kept]
+    order = np.lexsort((eids, owner))
+    bounds = np.cumsum(np.bincount(owner, minlength=len(groups)))[:-1]
+    return np.split(eids[order], bounds)
 
 
 def _reduce_rounds(
-    msf_eids: list[np.ndarray],
+    msf_eids: tuple[np.ndarray, ...],
     u: np.ndarray,
     v: np.ndarray,
     w: np.ndarray,
@@ -107,27 +136,24 @@ def _reduce_rounds(
     """Binomial reduction of per-card forests down to card 0.
 
     Returns ``(global_forest_eids, rounds)``; works for any card count
-    (cards without a partner in a round just wait).
+    (cards without a partner in a round just wait).  All merges of one
+    round are solved by a single :func:`_round_forests` call.
     """
-    forests = {card: np.asarray(msf_eids[card], dtype=np.int64)
-               for card in range(num_cards)}
+    forests = list(msf_eids)
     rounds: list[SyncRound] = []
     stride, level = 1, 0
     while stride < num_cards:
+        pairs = [(lo, lo + stride)
+                 for lo in range(0, num_cards - stride, 2 * stride)]
+        merged = _round_forests(
+            [np.concatenate([forests[lo], forests[hi]]) for lo, hi in pairs],
+            u, v, w, vertex_card.size)
         messages = []
-        for lo in range(0, num_cards, 2 * stride):
-            hi = lo + stride
-            if hi >= num_cards:
-                continue
-            sender = forests.pop(hi)
-            boundary = (
-                int((vertex_card[u[sender]]
-                     != vertex_card[v[sender]]).sum())
-                if sender.size else 0
-            )
-            merged = _forest_union(
-                np.concatenate([forests[lo], sender]), u, v, w)
-            absorbed = int(np.isin(merged, sender,
+        for (lo, hi), forest in zip(pairs, merged):
+            sender = forests[hi]
+            boundary = int((vertex_card[u[sender]]
+                            != vertex_card[v[sender]]).sum())
+            absorbed = int(np.isin(forest, sender,
                                    assume_unique=True).sum())
             messages.append(ForestShard(
                 src=hi, dst=lo, records=int(sender.size) - boundary))
@@ -136,7 +162,7 @@ def _reduce_rounds(
                     src=hi, dst=lo, records=boundary))
             messages.append(ComponentMerges(
                 src=lo, dst=hi, records=absorbed))
-            forests[lo] = merged
+            forests[lo] = forest
         rounds.append(SyncRound(
             index=level + 1, label=f"reduce-{level}",
             messages=tuple(messages)))
@@ -152,7 +178,8 @@ class FabricRun:
     result: MSTResult
     plan: PartitionPlan
     profile: NetProfile
-    local_outputs: tuple  # per-card AmstOutput
+    local_reports: tuple[PerfReport, ...]  # per card, modelled
+    local_forests: tuple[np.ndarray, ...]  # per card, global edge ids
     merge_output: AmstOutput
     forest_eids: np.ndarray  # global edge ids of the final forest
     rounds: tuple[SyncRound, ...]  # scatter + reduce rounds
@@ -162,7 +189,7 @@ class FabricRun:
 
     @property
     def local_seconds(self) -> float:
-        return max(o.report.seconds for o in self.local_outputs)
+        return max(r.seconds for r in self.local_reports)
 
     @property
     def merge_seconds(self) -> float:
@@ -177,7 +204,7 @@ class FabricRun:
     @property
     def energy_joules(self) -> float:
         """Modelled energy of every card's local run plus the merge run."""
-        local = sum(o.report.energy_joules for o in self.local_outputs)
+        local = sum(r.energy_joules for r in self.local_reports)
         return local + self.merge_output.report.energy_joules
 
 
@@ -250,22 +277,19 @@ def run_fabric(
                 for card in range(num_cards)
             ]
             groups = execute(tasks, jobs=jobs if use_pool else 1)
-        pairs = [g[0] for g in groups]
+        local_reports, local_forests = zip(*(g[0] for g in groups))
     host_phase1 = time.perf_counter() - t0
-    local_outputs = tuple(out for out, _ in pairs)
-    msf_eids = [eids for _, eids in pairs]
 
     # ---- reduce: binomial message-passing merge of the local forests
     with phase("fabric.reduce"):
         reduced, reduce_rounds = _reduce_rounds(
-            msf_eids, u, v, w, plan.vertex_card, num_cards)
+            local_forests, u, v, w, plan.vertex_card, num_cards)
 
     # ---- authoritative merge: one AMST run over the union of MSFs
     # (the same composable-edge-set path the oracle verifies), keeping
     # merge-phase compute modelled in simulator cycles
     with phase("fabric.merge"):
-        merge_eids = np.unique(np.concatenate(
-            [np.asarray(e, dtype=np.int64) for e in msf_eids]))
+        merge_eids = np.unique(np.concatenate(local_forests))
         merge_graph = edge_subgraph(graph.num_vertices, u, v, w,
                                     merge_eids)
         merge_out = Amst(cfg).run(merge_graph)
@@ -316,7 +340,8 @@ def run_fabric(
         result=result,
         plan=plan,
         profile=profile,
-        local_outputs=local_outputs,
+        local_reports=local_reports,
+        local_forests=local_forests,
         merge_output=merge_out,
         forest_eids=final_eids,
         rounds=rounds,

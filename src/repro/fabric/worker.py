@@ -4,10 +4,11 @@ The worker body is a plain module-level function so the executor can
 pickle it by reference into pool processes.  Each card resolves the
 shm-published ``(u, v, w, sorted_eids)`` bundle to read-only views,
 slices out its own shard, materializes the shard subgraph and runs the
-full AMST simulator over it.  The returned pair is ``(AmstOutput,
-global_edge_ids_of_local_msf)`` — the only thing that travels back to
-the host, mirroring how a real card would ship just its surviving
-forest records.
+full AMST simulator over it.  A card ships back only what a real card
+would: its modelled :class:`~repro.core.perf.PerfReport` and the
+global edge ids of its surviving forest.  The simulator state, event
+log and preprocessing result stay in the worker, so a pooled card
+pickles a few kilobytes plus one ``int64`` id array.
 
 Worker-side telemetry uses *counters* (``inc``), which sum correctly
 when per-worker snapshots merge back into the parent session; the
@@ -59,8 +60,9 @@ def card_task(
     ``bundle`` resolves to ``(u, v, w, sorted_eids)`` — shared-memory
     views on the zero-copy path, plain arrays on the fallback path; the
     card's edge-id shard is the ``[start, stop)`` slice of the
-    card-sorted id array.  Returns a 1-tuple so the executor's result
-    normalization leaves the payload pair intact.
+    card-sorted id array.  Returns ``((report, forest_eids),)``: a
+    1-tuple so the executor's result normalization leaves the pair
+    intact.
     """
     from ..graph.shm import resolve_arrays
 
@@ -74,4 +76,4 @@ def card_task(
         tel.metrics.inc("fabric.worker.shard_edges", int(keep.size))
         tel.metrics.inc("fabric.worker.msf_edges",
                         int(out.result.edge_ids.size))
-    return ((out, keep[out.result.edge_ids]),)
+    return ((out.report, keep[out.result.edge_ids]),)

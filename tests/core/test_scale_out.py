@@ -123,7 +123,7 @@ class TestScaleOutCorrectness:
         r = run_fabric(g, 2, CFG)
         assert r.result.extras["num_cards"] == 2
         assert r.plan.num_cards == 2
-        assert len(r.local_outputs) == 2
+        assert len(r.local_reports) == len(r.local_forests) == 2
 
     @pytest.mark.parametrize("partitioner", ["range", "hash"])
     def test_more_cards_than_vertices(self, partitioner):
@@ -133,7 +133,7 @@ class TestScaleOutCorrectness:
         g = from_edges(4, u, v, w)
         r = run_fabric(g, 8, CFG, partitioner=partitioner)
         validate_mst(g, r.result, reference=kruskal(g))
-        assert len(r.local_outputs) == 8
+        assert len(r.local_reports) == len(r.local_forests) == 8
 
     def test_jobs_parity_with_serial(self):
         g = rmat(9, 8, rng=21)
@@ -144,8 +144,10 @@ class TestScaleOutCorrectness:
         assert serial.result.total_weight == pooled.result.total_weight
         assert serial.local_seconds == pooled.local_seconds
         assert serial.plan.stats.cut_edges == pooled.plan.stats.cut_edges
-        for a, b in zip(serial.local_outputs, pooled.local_outputs):
-            assert a.report.total_cycles == b.report.total_cycles
+        for a, b in zip(serial.local_reports, pooled.local_reports):
+            assert a.total_cycles == b.total_cycles
+        for a, b in zip(serial.local_forests, pooled.local_forests):
+            np.testing.assert_array_equal(a, b)
         assert pooled.host_phase1_seconds > 0.0
 
 
@@ -165,7 +167,7 @@ class TestScaleOutModel:
     def test_energy_accumulates_cards(self):
         g = rmat(10, 8, rng=7)
         r = run_fabric(g, 4, CFG)
-        local = sum(o.report.energy_joules for o in r.local_outputs)
+        local = sum(rep.energy_joules for rep in r.local_reports)
         assert r.energy_joules >= local
 
     def test_block_cuts_fewer_lattice_edges_than_hash(self):
@@ -199,7 +201,7 @@ class TestCardCountValidation:
         r = run_fabric(g, cards, CFG)
         np.testing.assert_array_equal(r.result.edge_ids,
                                       serial.result.edge_ids)
-        assert len(r.local_outputs) == cards
+        assert len(r.local_reports) == len(r.local_forests) == cards
 
     def test_numpy_integer_cards_accepted(self):
         g = road_lattice(4, 4, rng=0)

@@ -1,12 +1,15 @@
-"""Fabric engine: byte-identity, round structure, the CLI front-end."""
+"""Fabric engine: byte-identity, round structure, the card payload,
+the runtime cross-check and the CLI front-end."""
 
 import numpy as np
 import pytest
 
+from repro.bench import executor
 from repro.bench.datasets import default_cache_vertices, load
 from repro.cli import main
-from repro.core import Amst, AmstConfig
-from repro.fabric import FabricRun, run_fabric
+from repro.core import Amst, AmstConfig, PerfReport
+from repro.fabric import FabricError, FabricRun, run_fabric
+from repro.fabric import fabric as fabric_engine
 from repro.graph import from_edges, rmat, road_lattice
 from repro.mst import kruskal, validate_mst
 
@@ -74,10 +77,56 @@ class TestByteIdentity:
         assert np.array_equal(serial_run.result.edge_ids,
                               pool_run.result.edge_ids)
         assert (
-            [o.report.total_cycles for o in serial_run.local_outputs]
-            == [o.report.total_cycles for o in pool_run.local_outputs]
+            [r.total_cycles for r in serial_run.local_reports]
+            == [r.total_cycles for r in pool_run.local_reports]
         )
+        for a, b in zip(serial_run.local_forests, pool_run.local_forests,
+                        strict=True):
+            np.testing.assert_array_equal(a, b)
         assert serial_run.network.total_bytes == pool_run.network.total_bytes
+
+
+class TestCardPayload:
+    def test_pooled_card_ships_report_and_forest_only(self, lattice,
+                                                      monkeypatch):
+        real, received = executor.execute, []
+
+        def spy(tasks, *, jobs=1, **kwargs):
+            assert jobs == 2  # the pool path, where results are pickled
+            groups = real(tasks, jobs=jobs, **kwargs)
+            received.extend(groups)
+            return groups
+
+        monkeypatch.setattr(executor, "execute", spy)
+        run = run_fabric(lattice, 4, CFG, jobs=2)
+        assert len(received) == 4
+        for card, group in enumerate(received):
+            (payload,) = group
+            report, forest = payload
+            assert type(report) is PerfReport
+            assert type(forest) is np.ndarray
+            assert forest.dtype == np.int64 and forest.ndim == 1
+            assert run.local_reports[card] is report
+            assert run.local_forests[card] is forest
+
+
+class TestCrossCheck:
+    def test_reducer_dropping_an_edge_raises(self, lattice, monkeypatch):
+        real = fabric_engine._round_forests
+        dropped = []
+
+        def lossy(groups, *args):
+            forests = real(groups, *args)
+            if not dropped:
+                card = next(i for i, f in enumerate(forests) if f.size)
+                dropped.append(forests[card][0])
+                forests[card] = forests[card][1:]
+            return forests
+
+        monkeypatch.setattr(fabric_engine, "_round_forests", lossy)
+        with pytest.raises(FabricError, match="disagrees with the merge run"):
+            run_fabric(lattice, 4, CFG)
+        assert len(dropped) == 1
 
 
 class TestRoundStructure:

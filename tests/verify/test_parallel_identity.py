@@ -55,11 +55,12 @@ def _assert_scale_out_equal(a, b):
     assert a.plan.stats.cut_edges == b.plan.stats.cut_edges
     assert a.local_seconds == b.local_seconds
     assert a.merge_seconds == b.merge_seconds
-    for x, y in zip(a.local_outputs, b.local_outputs):
-        assert x.report.total_cycles == y.report.total_cycles
-        assert x.report.dram_blocks == y.report.dram_blocks
-        np.testing.assert_array_equal(x.result.edge_ids, y.result.edge_ids)
-        assert x.state.graph == y.state.graph
+    for x, y in zip(a.local_reports, b.local_reports, strict=True):
+        assert x.total_cycles == y.total_cycles
+        assert x.dram_blocks == y.dram_blocks
+        assert x.num_edges == y.num_edges
+    for x, y in zip(a.local_forests, b.local_forests, strict=True):
+        np.testing.assert_array_equal(x, y)
 
 
 class TestScaleOutParallelIdentity:
