@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..graph.csr import weight_eid_order
 from ..memory.hbm import BLOCK_BYTES
 from .events import IterationEvents
 from .sorting_network import bitonic_stage_count
@@ -202,9 +203,8 @@ def run_finding(state: SimState, ev: IterationEvents) -> FindingOutput:
 
     # ---- sorting network + MinEdge writer ---------------------------------
     with state.timers.section("sub.network"):
-        _commit_minedge(state, ev, cand_comp, cand_w, cand_eid, cand_target)
-
-    comps = np.unique(cand_comp)
+        comps = _commit_minedge(state, ev, cand_comp, cand_w, cand_eid,
+                                cand_target)
     return FindingOutput(comps, int(cand_comp.size), int(new_iv_vs.size))
 
 
@@ -215,37 +215,39 @@ def _commit_minedge(
     w: np.ndarray,
     eid: np.ndarray,
     target: np.ndarray,
-) -> None:
+) -> np.ndarray:
     """Batch candidates through the network, commit RMW updates.
 
     The real compare-exchange network lives in ``sorting_network.py`` and
     is verified there; running it per batch would be a Python-level loop
     over the candidate stream, so the *effect* of the network — duplicate
     components merged within each ``parallelism``-wide batch — is computed
-    here in closed form (same counts, vectorized).
+    here in closed form (same counts, vectorized).  Returns the distinct
+    components, ascending.
     """
     cfg = state.cfg
     if comp.size == 0:
-        return
+        return np.empty(0, np.int64)
     p = cfg.parallelism
     m = comp.size
     # rank = global (weight, eid) order; exact int key for running minima
+    ranked = weight_eid_order(w, eid)
     rank = np.empty(m, dtype=np.int64)
-    rank[np.lexsort((eid, w))] = np.arange(m, dtype=np.int64)
+    rank[ranked] = np.arange(m, dtype=np.int64)
 
     # me_p filter (Fig 7 Step 5) with realistic lag: P FPEs dispatch per
     # batch and read me_p *at dispatch*, so a candidate only sees the
     # component minimum established by *earlier batches* — same-component
     # candidates inside one batch all pass the filter and it is the
-    # sorting network's job to merge them (Section V-C-2).
-    batch = np.arange(m, dtype=np.int64) // p
-    order = np.lexsort((rank, batch, comp))
-    c_s, b_s, r_s = comp[order], batch[order], rank[order]
+    # sorting network's job to merge them (Section V-C-2).  The stable
+    # sort keeps each component's candidates in stream (= batch) order.
+    by_comp = np.argsort(comp, kind="stable")
+    c_s, b_s, r_s = comp[by_comp], by_comp // p, rank[by_comp]
     grp_start = np.ones(m, dtype=bool)
     grp_start[1:] = (c_s[1:] != c_s[:-1]) | (b_s[1:] != b_s[:-1])
-    grp_idx_sorted = np.cumsum(grp_start) - 1
-    gmin = r_s[grp_start]  # per-(comp,batch) min rank (rank-sorted groups)
-    gcomp = c_s[grp_start]
+    grp_first = np.flatnonzero(grp_start)
+    gmin = np.minimum.reduceat(r_s, grp_first)  # per-(comp, batch) min
+    gcomp = c_s[grp_first]
     # exclusive running min of gmin within each comp (groups batch-ordered)
     seg_start = np.ones(gmin.size, dtype=bool)
     seg_start[1:] = gcomp[1:] != gcomp[:-1]
@@ -257,20 +259,17 @@ def _commit_minedge(
     excl[0] = big
     excl[1:] = np.where(seg_start[1:], big, inc[:-1])
     # forward decision per candidate: beats the stale (pre-batch) me_p
-    snapshot_sorted = excl[grp_idx_sorted]
-    forward = np.zeros(m, dtype=bool)
-    forward[order] = r_s < snapshot_sorted
-    n_forward = int(np.count_nonzero(forward))
+    snapshot = excl[np.cumsum(grp_start) - 1]
+    n_forward = int(np.count_nonzero(r_s < snapshot))
     ev.add("fm.candidates_filtered", m - n_forward)
     ev.add("fm.candidates_forwarded", n_forward)
 
     # batch-group winners among the forwarded candidates: exactly one per
     # (comp, batch) group that forwarded anything — the group's min rank
-    # always beats the pre-batch snapshot iff any member does
-    fwd_sorted = r_s < snapshot_sorted
-    winners = int(np.count_nonzero(grp_start & fwd_sorted))
+    # beats the pre-batch snapshot iff any member does
+    winners = int(np.count_nonzero(gmin < excl))
     merged = n_forward - winners
-    num_batches = int(batch[-1]) + 1
+    num_batches = (m - 1) // p + 1
 
     if cfg.use_sorting_network:
         ev.add("net.batches", num_batches)
@@ -288,7 +287,8 @@ def _commit_minedge(
     ev.add("fm.minedge_writer_reads", writer_inputs)
     ev.add("fm.minedge_writer_commits", commits)
 
-    updated = np.unique(comp)
+    comp_first = np.flatnonzero(seg_start)
+    updated = gcomp[comp_first]
     ev.add("fm.minedge_updates", updated.size)
     wrote = state.minedge_cache.write(updated)
     dram_w = int(np.count_nonzero(~np.asarray(wrote)))
@@ -297,13 +297,10 @@ def _commit_minedge(
                                    cfg.minedge_bytes))
 
     # ---- functional commit: global (weight, eid) minimum per component --
-    order = np.lexsort((eid, w, comp))
-    c = comp[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = c[1:] != c[:-1]
-    win = order[first]
-    better = w[win] < state.me_weight[comp[win]]
+    win = ranked[np.minimum.reduceat(gmin, comp_first)]
+    better = w[win] < state.me_weight[updated]
     win = win[better]
     state.me_weight[comp[win]] = w[win]
     state.me_eid[comp[win]] = eid[win]
     state.me_target[comp[win]] = target[win]
+    return updated

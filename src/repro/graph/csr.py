@@ -18,13 +18,42 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "weight_eid_order"]
+
+#: the arrays a graph is made of, in constructor order
+_ARRAYS = ("indptr", "dst", "weight", "eid")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
+
+
+def weight_eid_order(weight: np.ndarray, eid: np.ndarray) -> np.ndarray:
+    """Indices that sort ``(weight, eid)`` pairs ascending, equal pairs in
+    input order: exactly ``np.lexsort((eid, weight))``.
+
+    This is the canonical MST order (DESIGN.md, "Canonical MST
+    tie-break"); SEW preprocessing and the MinEdge commit both take it
+    from here.  One ``argsort`` of the weights decides it when they are
+    distinct.  A tie of two (the usual one: both endpoints of an edge
+    offering it as their candidate) is put in ``(eid, index)`` order by
+    a swap; a NaN or a run of three or more equal weights takes the
+    exact lexsort.
+    """
+    order = np.argsort(weight)
+    w = weight[order]
+    if w.size < 2:
+        return order
+    tie = w[1:] == w[:-1]
+    if np.isnan(w[-1]) or (tie[1:] & tie[:-1]).any():
+        return np.lexsort((eid, weight))
+    t = np.flatnonzero(tie)
+    a, b = order[t], order[t + 1]
+    swap = (eid[b] < eid[a]) | ((eid[b] == eid[a]) & (b < a))
+    order[t[swap]], order[t[swap] + 1] = b[swap], a[swap]
+    return order
 
 
 class CSRGraph:
@@ -185,13 +214,22 @@ class CSRGraph:
         IV-B-3): within each vertex, edges ordered by ascending
         ``(weight, eid)`` — the eid tie-break matches the global minimum-
         edge order used by every MST implementation in this repo, which
-        is what makes mirror detection by eid equality sound.
+        is what makes mirror detection by eid equality sound.  The ``m``
+        undirected edges are ranked once by :func:`weight_eid_order`
+        (mates share a weight) and the half-edges sorted by the single
+        key ``src * m + rank``; only the two half-edges of a self-loop
+        share a key, and they are identical.
         ``by_weight=False`` sorts by destination id, the canonical
         adjacency order.
         """
         src = self.src_expanded()
         if by_weight:
-            order = np.lexsort((self.eid, self.weight, src))
+            m = self.num_edges
+            w = np.zeros(m)
+            w[self.eid] = self.weight
+            rank = np.empty(m, dtype=np.int64)
+            rank[weight_eid_order(w, np.arange(m))] = np.arange(m)
+            order = np.argsort(src * m + rank[self.eid])
         else:
             order = np.lexsort((self.weight, self.dst, src))
         return CSRGraph(
@@ -211,6 +249,17 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # dunder
     # ------------------------------------------------------------------
+    def __getstate__(self) -> dict[str, np.ndarray]:
+        # the four arrays only: the src cache is derived data
+        return {name: getattr(self, name) for name in _ARRAYS}
+
+    def __setstate__(self, state) -> None:
+        if isinstance(state, tuple):  # (None, slots) of older pickles
+            state = state[1]
+        for name in _ARRAYS:
+            setattr(self, name, _freeze(state[name]))
+        self._src_cache = None
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CSRGraph(n={self.num_vertices}, m={self.num_edges}, "

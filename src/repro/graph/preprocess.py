@@ -9,7 +9,7 @@ Table II.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,8 @@ class PreprocessResult:
     graph:
         The graph AMST actually runs on (reordered, edge-sorted).
     reorder:
-        The :class:`ReorderResult` (maps ids back to the input space).
+        The :class:`ReorderResult` (maps ids back to the input space);
+        its ``graph`` is :attr:`graph`, so a result holds one graph.
     reorder_seconds / sort_seconds:
         Wall time of each preprocessing step (Table II "Reorder").
     """
@@ -78,7 +79,7 @@ def preprocess(
     t2 = time.perf_counter()
     return PreprocessResult(
         graph=g,
-        reorder=rr,
+        reorder=replace(rr, graph=g),
         reorder_seconds=t1 - t0,
         sort_seconds=t2 - t1,
     )

@@ -35,7 +35,9 @@ class ReorderResult:
     Attributes
     ----------
     graph:
-        The relabelled graph (new vertex ids).
+        The relabelled graph (new vertex ids).  Inside a
+        :class:`~repro.graph.preprocess.PreprocessResult` it is the
+        edge-sorted graph the run uses.
     perm:
         ``perm[old_id] == new_id``.
     inverse:

@@ -1,9 +1,21 @@
 """Unit tests for the CSR graph container."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.graph import CSRGraph, from_edges, paper_example, path_graph
+from repro.graph.csr import weight_eid_order
+from repro.verify.strategies import graphs
+
+PROPERTY = settings(max_examples=200, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+#: weights where an argsort alone is ambiguous or NaN-ordered
+SPECIAL_WEIGHTS = (-0.0, 0.0, 1.0, 1.5, np.nan, np.inf, -np.inf)
 
 
 def _simple():
@@ -150,6 +162,20 @@ class TestTransforms:
         s = g.sort_edges(by_weight=True)
         assert set(g.iter_edges()) == set(s.iter_edges())
 
+    @PROPERTY
+    @given(graphs(), st.booleans())
+    def test_sort_edges_by_weight_matches_lexsort(self, g, special):
+        # the 3-key half-edge lexsort sort_edges(by_weight=True) replaced
+        if special and g.num_edges:
+            pool = np.array(SPECIAL_WEIGHTS)
+            g = g.reweight(pool[np.arange(g.num_edges) % pool.size])
+        ref = np.lexsort((g.eid, g.weight, g.src_expanded()))
+        s = g.sort_edges(by_weight=True)
+        assert s.indptr.tobytes() == g.indptr.tobytes()
+        assert s.dst.tobytes() == g.dst[ref].tobytes()
+        assert s.weight.tobytes() == g.weight[ref].tobytes()
+        assert s.eid.tobytes() == g.eid[ref].tobytes()
+
     def test_reweight(self):
         g = _simple()
         new_w = np.array([10.0, 20.0, 30.0, 40.0])
@@ -161,6 +187,65 @@ class TestTransforms:
         g = _simple()
         with pytest.raises(ValueError, match="one entry per undirected"):
             g.reweight(np.array([1.0]))
+
+
+class TestWeightEidOrder:
+    @PROPERTY
+    @given(st.lists(st.tuples(
+               st.one_of(st.sampled_from(SPECIAL_WEIGHTS), st.floats()),
+               st.integers(0, 4)), max_size=40),
+           st.lists(st.integers(0, 39), max_size=20), st.randoms())
+    def test_equals_lexsort(self, pairs, mirrors, rnd):
+        # duplicate weights, -0.0 beside 0.0, NaN, +-inf; each mirror
+        # repeats a (w, eid) pair, as both endpoints of an edge do
+        if pairs:
+            pairs = pairs + [pairs[i % len(pairs)] for i in mirrors]
+        rnd.shuffle(pairs)
+        w = np.array([p[0] for p in pairs], dtype=np.float64)
+        eid = np.array([p[1] for p in pairs], dtype=np.int64)
+        got = weight_eid_order(w, eid)
+        assert got.tobytes() == np.lexsort((eid, w)).tobytes()
+
+    def test_mirrored_pairs_keep_input_order(self):
+        w = np.array([2.0, 1.0, 2.0, 1.0])
+        eid = np.array([7, 3, 7, 3])
+        assert weight_eid_order(w, eid).tolist() == [1, 3, 0, 2]
+
+    def test_empty(self):
+        got = weight_eid_order(np.empty(0), np.empty(0, np.int64))
+        assert got.size == 0
+
+
+class TestPickle:
+    def test_round_trip_is_read_only_without_cache(self):
+        g = paper_example()
+        g.src_expanded()
+        h = pickle.loads(pickle.dumps(g))
+        assert h == g
+        assert h._src_cache is None
+        for a in (h.indptr, h.dst, h.weight, h.eid):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            h.dst[0] = 5
+
+    def test_src_cache_is_not_pickled(self):
+        g, cached = paper_example(), paper_example()
+        cached.src_expanded()
+        assert pickle.dumps(cached) == pickle.dumps(g)
+
+    def test_loads_the_default_slot_state(self):
+        # disk cache entries written before the graph had its own
+        # pickle state hold the default ``(None, {slot: value})``
+        g = paper_example()
+        slots = {name: getattr(g, name)
+                 for name in ("indptr", "dst", "weight", "eid")}
+        slots["_src_cache"] = g.src_expanded()
+        state = pickle.loads(pickle.dumps((None, slots)))
+        h = CSRGraph.__new__(CSRGraph)
+        h.__setstate__(state)
+        assert h == g
+        assert h._src_cache is None
+        assert not h.eid.flags.writeable
 
 
 class TestDunder:
