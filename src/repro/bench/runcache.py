@@ -179,8 +179,11 @@ class RunCache:
                 try:
                     with open(path, "rb") as f:
                         value = pickle.load(f)
-                except (OSError, pickle.UnpicklingError, EOFError):
-                    return None  # torn/corrupt file: treat as miss
+                except Exception:
+                    # torn or corrupt file, or one pickled against code
+                    # that has since changed (a missing module or class):
+                    # a miss, so the caller recomputes and overwrites it
+                    return None
                 with self._lock:
                     self._stats.disk_hits += 1
                     if delta:

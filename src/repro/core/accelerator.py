@@ -85,9 +85,12 @@ class Amst:
 
         ``telemetry`` (a :class:`~repro.obs.telemetry.Telemetry`, or the
         ambient one installed with :func:`repro.obs.activate` when None)
-        records a run → iteration → stage → subsystem span tree and is
-        strictly read-only: the result is byte-identical with telemetry
-        on or off.
+        records a run → iteration → stage → subsystem → kernel span
+        tree: its recorder is attached to the run's
+        :class:`~repro.core.timing.HostTimers` for the length of the
+        run, so every timer section is also a span.  It is strictly
+        read-only: the result is byte-identical with telemetry on or
+        off.
         """
         cfg = self.config
         tel = telemetry if telemetry is not None else current_telemetry()
@@ -133,6 +136,8 @@ class Amst:
         state.minedge_cache = TimedSubsystem(
             state.minedge_cache, timers, "sub.cache.minedge", CACHE_METHODS)
         state.hbm = TimedSubsystem(state.hbm, timers, "sub.hbm", HBM_METHODS)
+        if tel is not None:
+            timers.recorder = tel.spans  # every section is also a span
         log = EventLog()
         mst_chunks: list[np.ndarray] = []
         total_weight = 0.0
@@ -141,15 +146,6 @@ class Amst:
             if max_iterations is not None
             else 2 * max(g.num_vertices, 1)
         )
-
-        # Stage scopes: a plain timer section without telemetry, a stage
-        # span wrapping the same section (plus synthetic per-subsystem
-        # child spans) with it.  Either way the simulated work is
-        # untouched — telemetry only observes.
-        def stage(name):
-            if tel is not None:
-                return tel.stage(timers, name)
-            return timers.section(name)
 
         completed = 0
         while state.iteration < limit:
@@ -162,7 +158,7 @@ class Amst:
                 else nullcontext()
             )
             with iter_scope:
-                with stage("stage.fm"):
+                with timers.section("stage.fm"):
                     found = run_finding(state, ev)
                 ev.parent_cache_utilization = (
                     state.parent_cache.utilization())
@@ -175,13 +171,13 @@ class Amst:
                     # traffic are real) but does not count as a Borůvka
                     # iteration.
                     break
-                with stage("stage.rm_am"):
+                with timers.section("stage.rm_am"):
                     rape = run_rape(state, ev)
                 mst_chunks.append(rape.appended_eids)
                 total_weight += rape.appended_weight
                 state.iteration += 1
                 completed += 1
-                with stage("stage.cm"):
+                with timers.section("stage.cm"):
                     run_compressing(state, ev, rape.hooked_roots)
                 state.reset_minedge()
                 ev.parent_cache_utilization = (
@@ -210,6 +206,9 @@ class Amst:
             state.check_invariants(log)
             check_report_consistency(log, report)
         report.extra["host_timing"] = timers.snapshot()
+        # the recorder holds thread-local state: detach it so the output
+        # (whose state carries the timers) still pickles
+        timers.recorder = None
         return AmstOutput(
             result=result,
             report=report,

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..kernels import numpy_impl
 from .events import IterationEvents
 from .state import SimState
 
@@ -130,7 +131,8 @@ def run_compressing(
 
     # ---- functional commit (kernel tier) --------------------------------
     # Roots first (so leaves resolve in two hops), then leaves.
-    new_parent = state.kernels.cm_commit(parent, roots, root_final, leaf_ids)
+    with state.timers.section("kernel.cm_commit"):
+        new_parent = numpy_impl.cm_commit(parent, roots, root_final, leaf_ids)
     state.parent = new_parent
     state.fresh_at[roots] = state.iteration
     state.fresh_at[leaf_ids] = state.iteration

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.csr import weight_eid_order
+from ..kernels import numpy_impl
 from ..memory.hbm import BLOCK_BYTES
 from .events import IterationEvents
 from .sorting_network import bitonic_stage_count
@@ -111,10 +112,11 @@ def run_finding(state: SimState, ev: IterationEvents) -> FindingOutput:
     else:
         w_flat = g.weight[flat]
         eid_flat = g.eid[flat]
-    first, found, exam_end, cand_local = state.kernels.fm_scan(
-        external, offsets, seg_id, w_flat, eid_flat,
-        cfg.sort_edges_by_weight,
-    )
+    with state.timers.section("kernel.fm_scan"):
+        first, found, exam_end, cand_local = numpy_impl.fm_scan(
+            external, offsets, seg_id, w_flat, eid_flat,
+            cfg.sort_edges_by_weight,
+        )
     examined = pos < exam_end[seg_id]
 
     # ---- per-edge costs --------------------------------------------------

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..kernels import numpy_impl
 from .events import IterationEvents
 from .state import SimState
 
@@ -82,7 +83,8 @@ def run_rape(state: SimState, ev: IterationEvents) -> RapeOutput:
     ev.add("rape.compares", cand.size * (2 if cfg.merge_rm_am else 3))
 
     # ---- Stage 2: mirror removal (kernel tier) ---------------------------
-    mirror = state.kernels.rape_mirrors(state.me_eid, cand, tgt)
+    with state.timers.section("kernel.rape_mirrors"):
+        mirror = numpy_impl.rape_mirrors(state.me_eid, cand, tgt)
     keep = cand[~mirror]
     ev.add("rape.mirrors_removed", int(np.count_nonzero(mirror)))
 

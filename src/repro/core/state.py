@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..kernels.dispatch import KernelDispatch
+from ..kernels import numpy_impl
 from ..memory.direct_cache import DirectHDVCache
 from ..memory.hash_cache import HashHDVCache
 from ..memory.hbm import HBMModel
@@ -39,12 +39,12 @@ from .timing import HostTimers
 __all__ = ["SimState"]
 
 
-def _make_cache(cfg: AmstConfig, n: int, kernels: KernelDispatch):
+def _make_cache(cfg: AmstConfig, n: int, timers: HostTimers):
     if not cfg.use_hdc:
         return DirectHDVCache(0, n)  # capacity 0 == everything off-chip
     if cfg.lru_cache:
         ways = 8 if cfg.cache_vertices % 8 == 0 else 1
-        return LRUCache(cfg.cache_vertices, ways=ways, kernels=kernels)
+        return LRUCache(cfg.cache_vertices, ways=ways, timers=timers)
     if cfg.hash_cache:
         return HashHDVCache(cfg.cache_vertices, n)
     return DirectHDVCache(cfg.cache_vertices, n)
@@ -65,7 +65,6 @@ class SimState:
     parent_cache: object
     minedge_cache: object
     hbm: HBMModel
-    kernels: KernelDispatch  # counted, timed kernel calls (repro.kernels)
     iteration: int = 0
     timers: HostTimers = field(default_factory=HostTimers)
 
@@ -81,7 +80,6 @@ class SimState:
     def initial(cls, graph: CSRGraph, cfg: AmstConfig) -> "SimState":
         n = graph.num_vertices
         timers = HostTimers()
-        kernels = KernelDispatch(timers)
         return cls(
             graph=graph,
             cfg=cfg,
@@ -93,11 +91,10 @@ class SimState:
             me_weight=np.full(n, np.inf),
             me_eid=np.full(n, -1, dtype=np.int64),
             me_target=np.full(n, -1, dtype=np.int64),
-            parent_cache=_make_cache(cfg, n, kernels),
-            minedge_cache=_make_cache(cfg, n, kernels),
+            parent_cache=_make_cache(cfg, n, timers),
+            minedge_cache=_make_cache(cfg, n, timers),
             hbm=HBMModel(),
             timers=timers,
-            kernels=kernels,
         )
 
     # ------------------------------------------------------------------
@@ -122,7 +119,8 @@ class SimState:
         """Uncached root resolution through the ``resolve_roots`` kernel:
         chases only still-unresolved vertices with pointer doubling
         (O(unresolved · log depth))."""
-        return self.kernels.resolve_roots(self.parent)
+        with self.timers.section("kernel.resolve_roots"):
+            return numpy_impl.resolve_roots(self.parent)
 
     def write_parent(self, ids: np.ndarray, values: np.ndarray) -> None:
         """Hardware Parent write: update entries, invalidate the memo."""

@@ -7,7 +7,7 @@ spends in each part of a run on the host.  Every performance PR against
 the simulator should quote these numbers before/after (see
 ``docs/PERFORMANCE.md``).
 
-Two granularities:
+Three granularities, all timed by :meth:`HostTimers.section`:
 
 * **per stage** — ``stage.fm`` (Finding), ``stage.rm_am`` (the merged
   Removing/Appending pass) and ``stage.cm`` (Compressing), recorded by
@@ -15,11 +15,16 @@ Two granularities:
 * **per subsystem** — ``sub.cache.parent`` / ``sub.cache.minedge`` /
   ``sub.hbm`` via :class:`TimedSubsystem` proxies wrapped around the
   cache and HBM models, plus ``sub.network`` (the sorting-network /
-  MinEdge-writer commit) and ``sub.resolve_roots`` recorded inline.
+  MinEdge-writer commit) and ``sub.resolve_roots`` recorded inline;
+* **per kernel** — ``kernel.<name>`` around each call of a
+  :mod:`repro.kernels.numpy_impl` kernel.
 
-Timers are plain wall-clock counters (``time.perf_counter``) accumulated
-per name; the snapshot lands in ``PerfReport.extra["host_timing"]`` and
+Sections nest, so a row is inclusive of the rows timed inside it.  The
+snapshot lands in ``PerfReport.extra["host_timing"]`` and
 ``amst run --profile-host`` renders it with :func:`format_host_profile`.
+While a run has a telemetry :class:`~repro.obs.spans.SpanRecorder`
+attached, every section is also a span stamped from the same two clock
+readings, so the profile and the Chrome trace agree.
 """
 
 from __future__ import annotations
@@ -27,6 +32,10 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from ..obs.spans import SpanRecorder
 
 __all__ = ["HostTimers", "TimedSubsystem", "format_host_profile"]
 
@@ -34,30 +43,46 @@ __all__ = ["HostTimers", "TimedSubsystem", "format_host_profile"]
 CACHE_METHODS = ("lookup", "write", "contains", "mark_dead")
 #: HBM-model methods attributed to the HBM subsystem
 HBM_METHODS = ("access_sequential", "access_random", "access_blocks")
+#: span category of each section-name prefix
+_CATEGORIES = {"stage": "stage", "sub": "subsystem", "kernel": "kernel"}
 
 
 @dataclass
 class HostTimers:
-    """Named wall-clock accumulators (seconds + call counts)."""
+    """Named wall-clock accumulators (seconds + call counts).
+
+    ``recorder`` is the run's telemetry span recorder while one is
+    attached (``Amst.run`` sets and clears it); ``None`` otherwise.
+    """
 
     seconds: dict[str, float] = field(default_factory=dict)
     calls: dict[str, int] = field(default_factory=dict)
+    recorder: SpanRecorder | None = field(default=None, repr=False)
 
     @contextmanager
     def section(self, name: str):
-        """Time a ``with`` block under ``name`` (re-entrant across calls)."""
-        t0 = time.perf_counter()
+        """Time a ``with`` block under ``name`` (re-entrant across calls).
+
+        The only host-time clock reader: two ``perf_counter_ns``
+        readings, added to ``name``'s sum and count and, with a recorder
+        attached, recorded as a span whose category comes from the name
+        prefix.  The span bookkeeping sits outside the timed interval.
+        """
+        recorder = self.recorder
+        if recorder is not None:
+            span = recorder.begin(name, _CATEGORIES[name.partition(".")[0]])
+        start = time.perf_counter_ns()
         try:
             yield
         finally:
-            self.add(name, time.perf_counter() - t0)
+            end = time.perf_counter_ns()
+            self.add(name, (end - start) * 1e-9)
+            if recorder is not None:
+                recorder.end(span, start, end)
 
     def add(self, name: str, elapsed: float) -> None:
         self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
         self.calls[name] = self.calls.get(name, 0) + 1
-
-    def total(self, prefix: str = "") -> float:
-        return sum(v for k, v in self.seconds.items() if k.startswith(prefix))
 
     def snapshot(self) -> dict[str, dict[str, float]]:
         """Plain-dict export (what ``PerfReport.extra`` carries)."""
@@ -75,7 +100,7 @@ class TimedSubsystem:
     named in ``methods`` are returned wrapped in a timer section, so the
     caches and the HBM model need no knowledge of profiling.  Cache/HBM
     calls are already batched (one call per vector of ids), so the
-    per-call ``perf_counter`` overhead is negligible.
+    per-call section overhead is negligible.
     """
 
     def __init__(self, inner, timers: HostTimers, name: str,
@@ -95,14 +120,11 @@ class TimedSubsystem:
             raise AttributeError(attr)
         value = getattr(self._inner, attr)
         if attr in self._methods:
-            timers, name = self._timers, self._name
+            section, name = self._timers.section, self._name
 
             def timed(*args, **kwargs):
-                t0 = time.perf_counter()
-                try:
+                with section(name):
                     return value(*args, **kwargs)
-                finally:
-                    timers.add(name, time.perf_counter() - t0)
 
             return timed
         return value

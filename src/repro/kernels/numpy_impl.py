@@ -3,14 +3,16 @@
 These are the algorithms behind ``SimState._recompute_roots``, the
 Finding Module's segment scan, the RAPE mirror test, the Compressing
 Module commit and the LRU replay, plus the union-find loops that
-``repro.mst`` shares.  The simulator reaches them through the per-run
-:class:`~repro.kernels.dispatch.KernelDispatch`, which counts and times
-every call.  ``tests/verify/test_kernel_identity.py`` checks each
-function against an independent scalar reference.
+``repro.mst`` shares.  The simulator calls them as attributes of this
+module (the binding a wrapper installed here replaces), each inside a
+``kernel.<name>`` section of the run's
+:class:`~repro.core.timing.HostTimers`, which counts and times every
+call.  ``tests/verify/test_kernel_identity.py`` checks each function
+against an independent scalar reference.
 
 Imports from ``repro.core`` are deferred into function bodies: the
 kernels package must be importable mid-way through ``repro.core``'s own
-import (``SimState`` pulls the dispatcher in), so no module-level
+import (``SimState`` pulls this module in), so no module-level
 dependency on ``repro.core`` is allowed here.
 """
 

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kernels.dispatch import KernelDispatch
+from ..core.timing import HostTimers
+from ..kernels import numpy_impl
 from .stats import CacheStats
 
 __all__ = ["LRUCache", "ScalarLRUCache"]
@@ -99,22 +100,23 @@ class LRUCache(_LRUBase):
 
     The replay itself is the :func:`repro.kernels.numpy_impl.lru_replay`
     kernel (the vectorized lockstep-rounds algorithm); this class keeps
-    the cache state, statistics and batch API, and dispatches each batch
-    through the run's :class:`~repro.kernels.dispatch.KernelDispatch` so
-    the ``kernel.lru_replay`` counters apply here exactly like the
-    simulator's other hot loops.  A standalone cache (sweeps, tests)
-    gets its own dispatcher.
+    the cache state, statistics and batch API, and times each batch in
+    a ``kernel.lru_replay`` section of the run's
+    :class:`~repro.core.timing.HostTimers`, exactly like the simulator's
+    other hot loops.  A standalone cache (sweeps, tests) gets its own
+    timers.
     """
 
     def __init__(self, capacity: int, ways: int = 8,
-                 kernels: KernelDispatch | None = None) -> None:
+                 timers: HostTimers | None = None) -> None:
         super().__init__(capacity, ways)
-        self._kernels = kernels if kernels is not None else KernelDispatch()
+        self._timers = timers if timers is not None else HostTimers()
 
     def _replay(self, ids: np.ndarray) -> np.ndarray:
-        hits, evictions, self._clock = self._kernels.lru_replay(
-            ids, self._tags, self._stamp, self._clock, self.sets, self.ways
-        )
+        with self._timers.section("kernel.lru_replay"):
+            hits, evictions, self._clock = numpy_impl.lru_replay(
+                ids, self._tags, self._stamp, self._clock, self.sets,
+                self.ways)
         self.stats.evictions += int(evictions)
         return hits
 

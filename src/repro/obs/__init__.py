@@ -5,10 +5,10 @@ The observability layer of the repo (see docs/OBSERVABILITY.md).  One
 ID + content fingerprints), a :class:`MetricsRegistry` (counters /
 gauges / histograms with JSON and Prometheus exporters) and a
 :class:`SpanRecorder` (hierarchical run → iteration → stage →
-subsystem spans, exported as Chrome trace-event JSON).  Pool workers
-ship their spans back through the executor and merge under the parent's
-run ID; finished runs persist as ``runs/<run-id>/`` directories the
-``amst runs list/show/diff`` CLI reads.
+subsystem → kernel spans, exported as Chrome trace-event JSON).  Pool
+workers ship their spans back through the executor and merge under the
+parent's run ID; finished runs persist as ``runs/<run-id>/``
+directories the ``amst runs list/show/diff`` CLI reads.
 
 Telemetry is strictly read-only over the simulation: enabling it never
 changes a result byte (property-tested), and code that does not look up
@@ -39,7 +39,6 @@ from .regress import (
 from .spans import (
     Span,
     SpanRecorder,
-    now_us,
     to_chrome_trace,
     validate_span_tree,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "prometheus_name",
     "Span",
     "SpanRecorder",
-    "now_us",
     "to_chrome_trace",
     "validate_span_tree",
     "Telemetry",

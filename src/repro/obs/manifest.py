@@ -82,7 +82,6 @@ class RunStore:
             "run": ctx.as_dict(),
             "metrics": telemetry.metrics.flat(),
             "summary": telemetry.summary or {},
-            "kernels": getattr(telemetry, "kernel_info", None) or {},
             "num_spans": len(telemetry.spans.spans),
             "num_processes": len(
                 {s.pid for s in telemetry.spans.spans}) or 1,

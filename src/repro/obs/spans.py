@@ -1,7 +1,7 @@
 """Hierarchical spans and Chrome trace-event export.
 
 A span is one timed interval with an identity in the run's tree:
-run → iteration → stage → subsystem (and, across processes,
+run → iteration → stage → subsystem → kernel (and, across processes,
 task → run → …).  The recorder keeps an explicit open-span stack per
 thread, so parentage is structural — a span opened while another is
 open is its child — and the whole run serializes to the Chrome
@@ -9,19 +9,20 @@ trace-event JSON that ``chrome://tracing`` and Perfetto load directly
 (``"X"`` complete events on ``pid``/``tid`` lanes, ``"M"`` metadata
 events naming the lanes).
 
-Timestamps are **epoch microseconds** (``time.time_ns() // 1000``), not
-``perf_counter``: pool workers have their own monotonic origins, and an
-epoch base is what lets a worker's spans land on the parent's timeline
-without clock translation.  Workers ship their finished span lists back
-through the executor (see ``repro.bench.executor``); span ids are
-unique per ``(pid, recorder)``, so merged traces key spans by
-``(pid, id)``.
+Timestamps are **epoch microseconds**: every span is stamped from two
+``time.perf_counter_ns`` readings plus an epoch offset read once per
+process, so a span has the host timers' clock (a
+:meth:`~repro.core.timing.HostTimers.section` records its span from the
+very readings it times) while a worker's spans still land on the
+parent's timeline.  Workers ship their finished span lists back through
+the executor (see ``repro.bench.executor``); span ids are unique per
+``(pid, recorder)``, so merged traces key spans by ``(pid, id)``.
 
 :func:`validate_span_tree` is the well-formedness check the tests and
 the CI schema gate use: per ``(pid, tid)`` lane, spans must nest
 strictly (no partial overlap), every ``parent_id`` must resolve to an
-enclosing span, and tree-level categories (iteration/stage/subsystem)
-must not float as orphan roots.
+enclosing span, and tree-level categories
+(iteration/stage/subsystem/kernel) must not float as orphan roots.
 """
 
 from __future__ import annotations
@@ -35,18 +36,20 @@ from dataclasses import dataclass, field
 __all__ = [
     "Span",
     "SpanRecorder",
-    "now_us",
     "to_chrome_trace",
     "validate_span_tree",
 ]
 
 #: categories that only make sense *inside* a parent span
-_NESTED_CATEGORIES = frozenset({"iteration", "stage", "subsystem"})
+_NESTED_CATEGORIES = frozenset({"iteration", "stage", "subsystem", "kernel"})
+
+#: epoch minus ``perf_counter`` (ns), read once per process
+_EPOCH_OFFSET_NS = time.time_ns() - time.perf_counter_ns()
 
 
-def now_us() -> int:
-    """Epoch microseconds (cross-process comparable)."""
-    return time.time_ns() // 1000
+def _epoch_us(perf_ns: int) -> int:
+    """Epoch microseconds of a ``time.perf_counter_ns`` reading."""
+    return (perf_ns + _EPOCH_OFFSET_NS) // 1000
 
 
 # Span ids are allocated from one process-global counter, not per
@@ -85,16 +88,16 @@ class Span:
 
 
 class _OpenSpan:
-    """Mutable handle yielded while a span is on the stack."""
+    """Mutable handle for a span on the stack (yielded by ``span``)."""
 
-    __slots__ = ("id", "name", "category", "start_us", "args")
+    __slots__ = ("id", "parent_id", "name", "category", "args")
 
-    def __init__(self, id: int, name: str, category: str,
-                 start_us: int, args: dict) -> None:
+    def __init__(self, id: int, parent_id: int | None, name: str,
+                 category: str, args: dict) -> None:
         self.id = id
+        self.parent_id = parent_id
         self.name = name
         self.category = category
-        self.start_us = start_us
         self.args = args
 
 
@@ -112,56 +115,41 @@ class SpanRecorder:
             stack = self._local.stack = []
         return stack
 
+    def begin(self, name: str, category: str,
+              args: dict | None = None) -> _OpenSpan:
+        """Push a child of whatever is currently on the stack."""
+        stack = self._stack()
+        open_span = _OpenSpan(_alloc_id(), stack[-1].id if stack else None,
+                              name, category, args or {})
+        stack.append(open_span)
+        return open_span
+
+    def end(self, open_span: _OpenSpan, start_ns: int, end_ns: int) -> None:
+        """Pop ``open_span`` and record it over two ``perf_counter_ns``
+        readings taken inside its begin/end pair."""
+        self._stack().pop()
+        start_us = _epoch_us(start_ns)
+        self.spans.append(Span(
+            id=open_span.id,
+            parent_id=open_span.parent_id,
+            name=open_span.name,
+            category=open_span.category,
+            start_us=start_us,
+            dur_us=_epoch_us(end_ns) - start_us,
+            pid=os.getpid(),
+            tid=threading.get_native_id(),
+            args=tuple(sorted(open_span.args.items())),
+        ))
+
     @contextmanager
     def span(self, name: str, category: str = "span", **args):
         """Open a child span of whatever is currently on the stack."""
-        stack = self._stack()
-        open_span = _OpenSpan(
-            _alloc_id(), name, category, now_us(), args)
-        parent = stack[-1].id if stack else None
-        stack.append(open_span)
+        open_span = self.begin(name, category, args)
+        start = time.perf_counter_ns()
         try:
             yield open_span
         finally:
-            stack.pop()
-            end = now_us()
-            self.spans.append(Span(
-                id=open_span.id,
-                parent_id=parent,
-                name=open_span.name,
-                category=open_span.category,
-                start_us=open_span.start_us,
-                dur_us=max(end - open_span.start_us, 0),
-                pid=os.getpid(),
-                tid=threading.get_native_id(),
-                args=tuple(sorted(open_span.args.items())),
-            ))
-
-    def add_complete(
-        self, name: str, category: str, start_us: int, dur_us: int,
-        *, parent_id: int | None = None, **args,
-    ) -> Span:
-        """Record an already-timed interval (synthetic subsystem spans).
-
-        Parented to the innermost open span unless ``parent_id`` is
-        given explicitly.
-        """
-        stack = self._stack()
-        if parent_id is None and stack:
-            parent_id = stack[-1].id
-        span = Span(
-            id=_alloc_id(),
-            parent_id=parent_id,
-            name=name,
-            category=category,
-            start_us=int(start_us),
-            dur_us=max(int(dur_us), 0),
-            pid=os.getpid(),
-            tid=threading.get_native_id(),
-            args=tuple(sorted(args.items())),
-        )
-        self.spans.append(span)
-        return span
+            self.end(open_span, start, time.perf_counter_ns())
 
     def extend(self, spans: list[Span]) -> None:
         """Merge finished spans shipped back from a worker process."""
@@ -182,8 +170,8 @@ def validate_span_tree(spans: list[Span]) -> list[str]:
     Checks, per ``(pid, tid)`` lane: strict nesting (a span either
     contains or is disjoint from every other — no partial overlap);
     globally: ``parent_id`` resolves within the same pid, parents
-    contain their children, and iteration/stage/subsystem spans have a
-    parent (no orphan tree levels).
+    contain their children, and iteration/stage/subsystem/kernel spans
+    have a parent (no orphan tree levels).
     """
     problems: list[str] = []
     by_key = {(s.pid, s.id): s for s in spans}

@@ -26,7 +26,6 @@ one lane per process).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from contextlib import contextmanager
 
 from .context import RunContext, new_run_context
 from .metrics import MetricsRegistry
@@ -59,52 +58,10 @@ class Telemetry:
         self.spans = SpanRecorder()
         #: optional result summary the manifest writer picks up
         self.summary: dict | None = None
-        #: kernel dispatch counts of recorded runs (manifest "kernels" key)
-        self.kernel_info: dict | None = None
         #: pid that owns the merged trace (set by the parent process)
         import os
 
         self.root_pid = os.getpid()
-
-    # -- span helpers --------------------------------------------------
-    @contextmanager
-    def stage(self, timers, name: str):
-        """A stage span wrapping ``timers.section(name)``.
-
-        After the stage body finishes (the span still open), the
-        per-subsystem ``sub.*`` wall-clock *deltas* accumulated inside
-        the stage are synthesized into child spans laid out
-        back-to-back from the stage start.  Individual cache/HBM calls
-        are far too fine to record one span each; the per-stage
-        aggregate is the same attribution ``--profile-host`` prints,
-        now visible on the timeline.
-        """
-        before = {
-            k: v for k, v in timers.seconds.items() if k.startswith("sub.")
-        }
-        from .spans import now_us
-
-        with self.spans.span(name, category="stage") as open_span:
-            with timers.section(name):
-                yield
-            cursor = open_span.start_us
-            # clamp synthetic children to "now": timer deltas come from
-            # perf_counter while span timestamps are epoch-µs, and the
-            # two clocks disagree by enough at ms scale that unclamped
-            # children could end after the stage span does (the
-            # validate_span_tree flake PR 7 fixed)
-            limit = now_us()
-            for key in sorted(
-                k for k in timers.seconds if k.startswith("sub.")
-            ):
-                delta = timers.seconds[key] - before.get(key, 0.0)
-                if delta <= 0.0:
-                    continue
-                dur = min(int(delta * 1e6), limit - cursor)
-                if dur <= 0:
-                    break
-                self.spans.add_complete(key, "subsystem", cursor, dur)
-                cursor += dur
 
     # -- adapters over existing counting surfaces ----------------------
     def record_output(self, out) -> None:
@@ -112,7 +69,9 @@ class Telemetry:
 
         Namespaces: ``sim.*`` (performance report), ``events.*`` (the
         ledger's grand totals), ``cache.parent.*`` / ``cache.minedge.*``
-        (cache-model counters) and ``host.*`` (wall-clock timers).
+        (cache-model counters), ``host.*`` (wall-clock timers) and
+        ``kernel.*`` (the ``kernel.*`` timer rows again: wall clock
+        under ``kernel.time.``, call counts under ``kernel.dispatch.``).
         """
         import dataclasses
 
@@ -155,19 +114,15 @@ class Telemetry:
 
         host = rep.extra.get("host_timing", {})
         for name, entry in sorted(host.items()):
+            calls = int(entry.get("calls", 0))
             m.set_gauge(f"host.{name}.seconds", entry["seconds"])
-            m.inc(f"host.{name}.calls", int(entry.get("calls", 0)))
+            m.inc(f"host.{name}.calls", calls)
             if name.startswith("kernel."):
-                # mirror under the kernel namespace `runs diff` skips
+                # mirror under the kernel namespace: `runs diff` skips
+                # the wall clock and diffs the deterministic call counts
                 m.set_gauge(f"kernel.time.{name[7:]}.seconds",
                             entry["seconds"])
-
-        info = self.kernel_info or {"dispatch": {}}
-        disp = info["dispatch"]
-        for name, count in sorted(out.state.kernels.counters.items()):
-            m.inc(f"kernel.dispatch.{name}", int(count))
-            disp[name] = disp.get(name, 0) + int(count)
-        self.kernel_info = info
+                m.inc(f"kernel.dispatch.{name[7:]}", calls)
 
     def record_runcache(self, cache) -> None:
         """Fold a ``RunCache.stats()`` snapshot into ``runcache.*``."""

@@ -111,6 +111,18 @@ class TestDiskTier:
         fresh = RunCache(disk_dir=tmp_path)
         assert fresh.get("key") is None
 
+    def test_entry_naming_a_missing_module_is_a_miss(self, tmp_path):
+        # e.g. a run: entry pickled before a module it references was
+        # deleted: recomputed and overwritten, never a crash
+        cache = RunCache(disk_dir=tmp_path)
+        cache.put("key", 42)
+        cache._disk_path("key").write_bytes(
+            b"crepro_no_such_module\nGone\n.")
+        fresh = RunCache(disk_dir=tmp_path)
+        assert fresh.get("key") is None
+        assert fresh.get_or_compute("key", lambda: 43) == 43
+        assert RunCache(disk_dir=tmp_path).get("key") == 43
+
     def test_from_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AMST_CACHE_DIR", str(tmp_path))
         cache = RunCache.from_env()

@@ -1,10 +1,10 @@
-"""Tests of the kernel dispatch plumbing (``repro.kernels``).
+"""Tests of the kernel call plumbing (``repro.kernels``).
 
-Covers the per-run :class:`~repro.kernels.KernelDispatch` façade
-(counters, timers, pickling, module lookup), the absence of any
-kernel-tier selection on the config/CLI surface, and the
-``--profile-host`` rendering.  Each kernel's *algorithm* is checked
-against an independent reference in
+Covers the ``kernel.<name>`` timer sections the simulator wraps around
+each kernel call (counts and times in ``report.extra["host_timing"]``,
+the module-attribute binding), the absence of any kernel-tier selection
+on the config/CLI surface, and the ``--profile-host`` rendering.  Each
+kernel's *algorithm* is checked against an independent reference in
 ``tests/verify/test_kernel_identity.py``.
 """
 
@@ -16,8 +16,19 @@ import pytest
 from repro.core import Amst, AmstConfig
 from repro.core.timing import HostTimers, format_host_profile
 from repro.graph import paper_example
-from repro.kernels import KERNEL_NAMES, KernelDispatch, numpy_impl
+from repro.kernels import KERNEL_NAMES, numpy_impl
 from repro.memory import LRUCache, ScalarLRUCache
+from repro.obs import Telemetry
+
+CFG = AmstConfig.full(4, cache_vertices=16)
+
+
+def _kernel_calls(out) -> dict[str, int]:
+    return {
+        name[len("kernel."):]: row["calls"]
+        for name, row in out.report.extra["host_timing"].items()
+        if name.startswith("kernel.")
+    }
 
 
 class TestKernelSets:
@@ -26,56 +37,46 @@ class TestKernelSets:
         assert set(KERNEL_NAMES) == {
             "resolve_roots", "pointer_jump", "find_many", "kruskal_union",
             "lru_replay", "fm_scan", "rape_mirrors", "cm_commit"}
-        d = KernelDispatch()
         for name in KERNEL_NAMES:
             assert callable(getattr(numpy_impl, name))
-            assert callable(getattr(d, name))
 
 
 class TestKernelDispatch:
     def test_counts_dispatches(self):
-        d = KernelDispatch()
-        parent = np.array([0, 0, 1], dtype=np.int64)
-        d.resolve_roots(parent)
-        d.resolve_roots(parent)
-        d.find_many(parent, np.array([2], dtype=np.int64))
-        assert d.counters == {"resolve_roots": 2, "find_many": 1}
+        # telemetry reads the kernel.dispatch.* counts and kernel.time.*
+        # gauges off the kernel.<name> host-timing rows
+        tel = Telemetry()
+        out = Amst(CFG).run(paper_example(), telemetry=tel)
+        tel.record_output(out)
+        flat = tel.metrics.flat()
+        timing = out.report.extra["host_timing"]
+        for name, calls in _kernel_calls(out).items():
+            assert flat[f"kernel.dispatch.{name}"] == calls
+            assert (flat[f"kernel.time.{name}.seconds"]
+                    == timing[f"kernel.{name}"]["seconds"])
 
     def test_times_under_kernel_namespace(self):
-        timers = HostTimers()
-        d = KernelDispatch(timers)
-        d.resolve_roots(np.array([0, 0, 1], dtype=np.int64))
-        assert timers.calls.get("kernel.resolve_roots") == 1
-        assert timers.seconds["kernel.resolve_roots"] >= 0.0
-
-    def test_unknown_attribute(self):
-        d = KernelDispatch()
-        with pytest.raises(AttributeError):
-            d.not_a_kernel
-        with pytest.raises(AttributeError):
-            d._private_probe
+        timing = Amst(CFG).run(paper_example()).report.extra["host_timing"]
+        for name in ("fm_scan", "rape_mirrors", "cm_commit",
+                     "resolve_roots"):
+            assert timing[f"kernel.{name}"]["seconds"] >= 0.0
+        # the section nests inside the memoized root resolution
+        assert (timing["kernel.resolve_roots"]["calls"]
+                == timing["sub.resolve_roots"]["calls"])
 
     def test_pickle_roundtrip(self):
-        d = KernelDispatch(HostTimers())
-        d.resolve_roots(np.array([0, 0], dtype=np.int64))
-        clone = pickle.loads(pickle.dumps(d))
-        assert clone.counters == {"resolve_roots": 1}
-        # the clone keeps dispatching (and counting) after the roundtrip
-        clone.pointer_jump(np.array([0, 0], dtype=np.int64))
-        assert clone.counters["pointer_jump"] == 1
-
-    def test_bind_timers_rebuilds_wrappers(self):
-        d = KernelDispatch()
-        d.resolve_roots(np.array([0], dtype=np.int64))
-        timers = HostTimers()
-        d.bind_timers(timers)
-        d.resolve_roots(np.array([0], dtype=np.int64))
-        assert timers.calls.get("kernel.resolve_roots") == 1
-        assert d.counters["resolve_roots"] == 2
+        out = Amst(CFG).run(paper_example())
+        clone = pickle.loads(pickle.dumps(out.state.timers))
+        assert clone.snapshot() == out.state.timers.snapshot()
+        # the clone keeps timing (and counting) after the roundtrip
+        with clone.section("kernel.fm_scan"):
+            pass
+        assert clone.calls["kernel.fm_scan"] == 4
 
     def test_calls_the_module_binding(self, monkeypatch):
-        # the function is looked up on numpy_impl at first use, so a
-        # wrapper installed on the module before a run is what runs
+        # the simulator calls numpy_impl.<name> by attribute, so a
+        # wrapper installed on the module (perfbench's kernels.* layers)
+        # is what a whole run calls
         seen = []
         real = numpy_impl.rape_mirrors
 
@@ -84,11 +85,9 @@ class TestKernelDispatch:
             return real(*args)
 
         monkeypatch.setattr(numpy_impl, "rape_mirrors", spy)
-        d = KernelDispatch()
-        ids = np.array([0], dtype=np.int64)
-        d.rape_mirrors(np.array([3], dtype=np.int64), ids, ids)
-        assert seen == [3]
-        assert d.counters == {"rape_mirrors": 1}
+        out = Amst(CFG).run(paper_example())
+        assert seen == [3, 3]
+        assert _kernel_calls(out)["rape_mirrors"] == 2
 
 
 class TestConfigSurface:
@@ -113,12 +112,11 @@ class TestConfigSurface:
 
 class TestRunIntegration:
     def test_dispatch_counters_flow(self):
-        out = Amst(AmstConfig.full(4, cache_vertices=16)).run(
-            paper_example())
-        kernels = out.state.kernels
-        assert kernels.counters.get("resolve_roots", 0) > 0
-        assert kernels.counters.get("fm_scan", 0) > 0
-        assert kernels.counters.get("cm_commit", 0) > 0
+        counts = {"cm_commit": 2, "fm_scan": 3, "rape_mirrors": 2,
+                  "resolve_roots": 3}
+        assert _kernel_calls(Amst(CFG).run(paper_example())) == counts
+        lru = Amst(CFG.with_(lru_cache=True)).run(paper_example())
+        assert _kernel_calls(lru) == {**counts, "lru_replay": 28}
 
     def test_host_profile_rows(self):
         out = Amst(AmstConfig.full(4, cache_vertices=16)).run(
@@ -141,12 +139,11 @@ class TestRunIntegration:
 
 class TestLRUCacheWiring:
     def test_standalone_cache_builds_own_kernels(self):
-        cache = LRUCache(capacity=16, ways=4)  # no dispatcher injected
+        cache = LRUCache(capacity=16, ways=4)  # no timers injected
         ids = np.array([1, 2, 3, 1, 2, 3, 17, 1], dtype=np.int64)
         hits = cache.lookup(ids)
         assert hits.dtype == np.bool_
-        assert isinstance(cache._kernels, KernelDispatch)
-        assert cache._kernels.counters == {"lru_replay": 1}
+        assert cache._timers.calls == {"kernel.lru_replay": 1}
 
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(11)
@@ -157,7 +154,7 @@ class TestLRUCacheWiring:
         assert vec.stats.evictions == ref.stats.evictions
 
     def test_injected_dispatcher_is_used(self):
-        d = KernelDispatch()
-        cache = LRUCache(capacity=8, ways=2, kernels=d)
+        timers = HostTimers()
+        cache = LRUCache(capacity=8, ways=2, timers=timers)
         cache.lookup(np.array([1, 2, 3], dtype=np.int64))
-        assert d.counters.get("lru_replay", 0) == 1
+        assert timers.calls == {"kernel.lru_replay": 1}

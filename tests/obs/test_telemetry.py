@@ -1,7 +1,11 @@
 """Telemetry over a real simulator run: span tree + byte-identity."""
 
-import numpy as np
+from collections import defaultdict
 
+import numpy as np
+import pytest
+
+from repro.bench.datasets import default_cache_vertices, load
 from repro.core import Amst, AmstConfig
 from repro.graph import rmat
 from repro.obs import Telemetry, activate, deactivate, validate_span_tree
@@ -41,6 +45,41 @@ class TestSpanTree:
         finally:
             deactivate(previous)
         assert any(s.category == "run" for s in tel.spans.spans)
+
+
+class TestRecorderContract:
+    """The host profile and the trace are one recording: every timer
+    section is a span stamped from the section's own clock readings."""
+
+    @pytest.mark.parametrize("key", ["RC", "CF"])
+    def test_profile_rows_are_their_spans(self, key):
+        g = load(key, size=0.1)
+        cfg = AmstConfig.full(4, cache_vertices=default_cache_vertices(0.1))
+        tel = Telemetry()
+        out = Amst(cfg).run(g, telemetry=tel)
+        spans = tel.spans.spans
+        assert validate_span_tree(spans) == []
+        by_name = defaultdict(list)
+        for s in spans:
+            by_name[s.name].append(s)
+        timing = out.report.extra["host_timing"]
+        assert {"stage.fm", "sub.hbm", "kernel.fm_scan"} <= set(timing)
+        for name, row in timing.items():
+            calls = row["calls"]
+            assert len(by_name[name]) == calls, name
+            span_us = sum(s.dur_us for s in by_name[name])
+            assert abs(span_us - row["seconds"] * 1e6) <= calls, name
+
+        by_id = {s.id: s for s in spans}
+
+        def parents(name):
+            return {by_id[s.parent_id].name for s in by_name[name]}
+
+        assert parents("kernel.fm_scan") == {"stage.fm"}
+        assert parents("kernel.resolve_roots") == {"sub.resolve_roots"}
+        # the MinEdge writer's cache and HBM calls nest in the network
+        assert "sub.network" in parents("sub.cache.minedge")
+        assert "sub.network" in parents("sub.hbm")
 
 
 class TestMetricsAdapters:
