@@ -18,6 +18,7 @@ from ..baselines.platform import TITAN_V, XEON_4114, scaled_spec
 from ..core import Amst, AmstConfig, estimate_resources
 from ..graph.csr import CSRGraph
 from ..graph.preprocess import preprocess
+from ..graph.reorder import sort_by_degree
 from ..graph.stats import overlap_profile
 from ..mst.boruvka import STAGE_NAMES, boruvka
 from .datasets import SUITE, default_cache_vertices, suite
@@ -76,23 +77,34 @@ def table1_datasets(*, size: float = 1.0, seed: int = 0) -> ExperimentResult:
 def table2_preprocessing(
     *, size: float = 1.0, seed: int = 0, keys=None
 ) -> ExperimentResult:
-    """Table II: reorder/edge-sort time vs one-thread MST time."""
+    """Table II: reorder/edge-sort time vs one-thread MST time.
+
+    Times the paper's two steps as it describes them: the reorder (the
+    degree permutation plus the relabelled CSR) and then the edge sort.
+    :func:`~repro.graph.preprocess.preprocess` fuses the relabel into the
+    sort, so its own timings would move the relabel out of "Reorder".
+    """
     res = ExperimentResult(
         "Table II",
         "Preprocessing vs MST time, one thread (ms)",
         ("Key", "Reorder", "EdgeSort", "MST", "Reorder/MST"),
     )
     for key, g in _suite(size, seed, keys).items():
-        pp = preprocess(g, reorder="sort", sort_edges_by_weight=True)
         t0 = time.perf_counter()
+        relabelled = sort_by_degree(g).graph
+        t1 = time.perf_counter()
+        relabelled.sort_edges(by_weight=True)
+        t2 = time.perf_counter()
         boruvka(g)
-        mst_ms = (time.perf_counter() - t0) * 1e3
+        t3 = time.perf_counter()
+        reorder_ms, sort_ms, mst_ms = (
+            (t1 - t0) * 1e3, (t2 - t1) * 1e3, (t3 - t2) * 1e3)
         res.add_row(
             key,
-            round(pp.reorder_seconds * 1e3, 2),
-            round(pp.sort_seconds * 1e3, 2),
+            round(reorder_ms, 2),
+            round(sort_ms, 2),
             round(mst_ms, 2),
-            round(pp.reorder_seconds * 1e3 / mst_ms, 3) if mst_ms else 0.0,
+            round(reorder_ms / mst_ms, 3) if mst_ms else 0.0,
         )
     res.add_note("paper: reorder cost is small relative to MST on every graph")
     return res

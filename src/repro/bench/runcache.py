@@ -310,10 +310,12 @@ def cached_preprocess(
 ) -> PreprocessResult:
     """Memoized :func:`~repro.graph.preprocess.preprocess`.
 
-    The cached value's wall-clock fields (``reorder_seconds`` etc.)
-    reflect the *original* pass — callers that time preprocessing
-    (Table II) must bypass the cache; everything behavioural (the
-    reordered, edge-sorted graph) is deterministic and identical.
+    The cached value's wall-clock fields reflect the *original* pass:
+    ``reorder_seconds`` times the reorder permutation alone and
+    ``sort_seconds`` the one sort that relabels and edge-sorts the
+    graph.  Callers that time preprocessing must bypass the cache (Table
+    II times its relabel and edge sort directly); everything behavioural
+    (the reordered, edge-sorted graph) is deterministic and identical.
     """
     if cache is None:
         return preprocess(graph, reorder=reorder,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..graph.preprocess import PreprocessResult, preprocess
+from ..graph.preprocess import PreprocessResult, is_weight_sorted, preprocess
 from ..mst.result import MSTResult
 from ..obs.context import current_telemetry
 from .config import AmstConfig
@@ -80,8 +80,12 @@ class Amst:
 
         ``preprocessed`` lets callers share one preprocessing pass across
         several configurations (the ablation benchmarks do this); it must
-        have been produced from the same graph with reordering and edge
-        sorting consistent with the configuration.
+        come from ``graph``, edge-sorted as the configuration asks.  Its
+        reordering may differ (the reordering sweep relies on that).  A
+        run graph whose vertex or half-edge count differs from
+        ``graph``'s, or, with SEW on, whose half-edges are not in
+        ascending ``(weight, eid)`` order per vertex, raises
+        :class:`ValueError`.
 
         ``telemetry`` (a :class:`~repro.obs.telemetry.Telemetry`, or the
         ambient one installed with :func:`repro.obs.activate` when None)
@@ -126,6 +130,8 @@ class Amst:
                     reorder="sort" if cfg.use_hdc else "identity",
                     sort_edges_by_weight=cfg.sort_edges_by_weight,
                 )
+        else:
+            _check_preprocessed(graph, preprocessed.graph, cfg)
         g = preprocessed.graph
         state = SimState.initial(g, cfg)
         timers = state.timers
@@ -216,3 +222,17 @@ class Amst:
             preprocess=preprocessed,
             state=state,
         )
+
+
+def _check_preprocessed(graph: CSRGraph, g: CSRGraph, cfg: AmstConfig) -> None:
+    """Reject a caller's run graph that cannot come from ``graph``."""
+    if (g.num_vertices, g.num_half_edges) != (
+            graph.num_vertices, graph.num_half_edges):
+        raise ValueError(
+            f"preprocessed graph has {g.num_vertices} vertices and "
+            f"{g.num_half_edges} half-edges; the input graph has "
+            f"{graph.num_vertices} and {graph.num_half_edges}")
+    if cfg.sort_edges_by_weight and not is_weight_sorted(g):
+        raise ValueError(
+            "SEW is on but the preprocessed graph's half-edges are not in "
+            "(weight, eid) order; preprocess with sort_edges_by_weight=True")

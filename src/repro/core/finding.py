@@ -19,6 +19,15 @@ the global ``(weight, eid)`` order — is provably identical to the
 reference Borůvka's Stage 1 (the per-vertex first external edge in SEW
 order *is* the vertex's minimum, and the network/writer keep the global
 minimum per component).
+
+The host does work in proportion to the edges the FPEs examine.  With
+SEW the segments are scanned in rounds (one HBM edge block of every
+segment, then doubling chunks of the segments that have no external
+edge yet, one ``numpy_impl.fm_scan`` call per round), so a hub's edges
+past its first external one are never flattened.  Without SEW every
+edge is examined and one round takes the whole segments.  The Parent
+lookups still go out in flat order, vertex by vertex with positions
+ascending: the LRU cache's hits depend on that order.
 """
 
 from __future__ import annotations
@@ -81,53 +90,82 @@ def run_finding(state: SimState, ev: IterationEvents) -> FindingOutput:
            state.hbm.access_random("fm.minedge", me_misses,
                                    cfg.minedge_bytes))
 
-    # ---- flatten the edge segments of scheduled vertices ---------------
-    starts = g.indptr[vs]
-    ends = g.indptr[vs + 1]
-    lens = (ends - starts).astype(np.int64)
-    flat = concat_ranges(starts, ends)  # global half-edge indices
-    offsets = segment_offsets(lens)
-    seg_id = np.repeat(np.arange(vs.size, dtype=np.int64), lens)
-    pos = np.arange(flat.size, dtype=np.int64)
-
-    e_dst = g.dst[flat]
-    flags = state.ie[flat] if cfg.skip_intra_edges else np.zeros(
-        flat.size, dtype=bool
-    )
-    src_comp = src_comp_per_v[seg_id]
-
-    # Functional external test uses resolved roots; the per-lookup cost of
-    # chasing stale (frozen IV) parent chains is charged below.
-    dst_comp = roots_all[e_dst]
-    external = ~flags & (dst_comp != src_comp)
-
-    # ---- per-vertex segment scan (SEW early exit + candidate pick) ------
-    # One kernel call covers Fig 7 Steps ①-⑤: the first-external probe,
-    # the examined prefix (SEW stops after the first external edge) and
-    # the candidate selection — min (weight, eid) external edge without
-    # SEW, on which path alone the weight/eid arrays are read.
-    if cfg.sort_edges_by_weight:
-        w_flat = np.empty(0, np.float64)
-        eid_flat = np.empty(0, np.int64)
-    else:
-        w_flat = g.weight[flat]
-        eid_flat = g.eid[flat]
-    with state.timers.section("kernel.fm_scan"):
-        first, found, exam_end, cand_local = numpy_impl.fm_scan(
-            external, offsets, seg_id, w_flat, eid_flat,
-            cfg.sort_edges_by_weight,
-        )
-    examined = pos < exam_end[seg_id]
+    # ---- per-vertex segment scan (Fig 7 Steps ①-⑤) ---------------------
+    # In rounds (module docstring): with SEW one edge block of every
+    # segment, then twice the previous chunk of each segment still
+    # without an external edge; without SEW, whose candidate is the
+    # minimum (weight, eid) external edge, one round of whole segments.
+    # Each round counts its examined edges and keeps two arrays: the
+    # positions whose Parent is looked up (their edge words are fetched)
+    # and the newly intra positions.
+    sew = cfg.sort_edges_by_weight
+    sie = cfg.skip_intra_edges
+    edges_per_block = max(BLOCK_BYTES // cfg.edge_bytes, 1)
+    chunk = edges_per_block
+    found = np.zeros(vs.size, dtype=bool)
+    cand_pos = np.empty(vs.size, dtype=np.int64)  # global half-edge index
+    act = np.arange(vs.size, dtype=np.int64)  # segments still scanning
+    lo = g.indptr[vs]
+    end = g.indptr[vs + 1]
+    n_examined = n_skipped_ie = n_external = 0
+    fetched, marked = [], []
+    while act.size:
+        hi = np.minimum(lo + chunk, end) if sew else end
+        lens = hi - lo
+        offsets = segment_offsets(lens)
+        seg_id = np.repeat(np.arange(act.size, dtype=np.int64), lens)
+        flat = concat_ranges(lo, hi)  # global half-edge indices
+        e_dst = g.dst[flat]
+        flags = state.ie[flat] if sie else np.zeros(flat.size, dtype=bool)
+        # Functional external test uses resolved roots; the per-lookup
+        # cost of chasing stale (frozen IV) parent chains is charged
+        # below.
+        external = ~flags & (
+            roots_all[e_dst] != src_comp_per_v[act][seg_id])
+        # One kernel call covers the first-external probe, the examined
+        # prefix (SEW stops after the first external edge) and the
+        # candidate pick, for which alone the non-SEW path reads the
+        # weight/eid arrays.
+        if sew:
+            w_flat = np.empty(0, np.float64)
+            eid_flat = np.empty(0, np.int64)
+        else:
+            w_flat = g.weight[flat]
+            eid_flat = g.eid[flat]
+        with state.timers.section("kernel.fm_scan"):
+            _, hit, exam_end, cand_local = numpy_impl.fm_scan(
+                external, offsets, seg_id, w_flat, eid_flat, sew)
+        examined = np.arange(flat.size) < exam_end[seg_id]
+        lookup = examined & ~flags
+        n_examined += int(np.count_nonzero(examined))
+        n_skipped_ie += int(np.count_nonzero(examined & flags))
+        n_external += int(np.count_nonzero(examined & external))
+        fetched.append(flat[lookup])
+        if sie:
+            marked.append(flat[lookup & ~external])
+        done = act[hit]
+        found[done] = True
+        cand_pos[done] = flat[cand_local[hit]]
+        more = ~hit & (hi < end)
+        act, lo, end = act[more], hi[more], end[more]
+        chunk *= 2
+    rounds = len(fetched)
+    fetched = _concat(fetched)
+    if rounds > 1:
+        # Back to flat order, vertex by vertex with positions ascending
+        # (ascending half-edge index): the LRU cache's hits depend on the
+        # lookup order.  The positions are distinct, so marking them in
+        # a table and reading it back sorts them in O(2m).
+        in_scan = np.zeros(g.dst.size, dtype=bool)
+        in_scan[fetched] = True
+        fetched = np.flatnonzero(in_scan)
+    lookup_ids = g.dst[fetched]
 
     # ---- per-edge costs --------------------------------------------------
-    exam_flags = examined & flags
-    exam_lookup = examined & ~flags
-    ev.add("fm.edges_examined", int(np.count_nonzero(examined)))
-    ev.add("fm.flag_checks",
-           int(np.count_nonzero(examined)) if cfg.skip_intra_edges else 0)
-    ev.add("fm.edges_skipped_ie", int(np.count_nonzero(exam_flags)))
+    ev.add("fm.edges_examined", n_examined)
+    ev.add("fm.flag_checks", n_examined if sie else 0)
+    ev.add("fm.edges_skipped_ie", n_skipped_ie)
 
-    lookup_ids = e_dst[exam_lookup]
     ev.add("fm.parent_lookups", lookup_ids.size)
     hits = state.parent_cache.lookup(lookup_ids)
     misses = int(np.count_nonzero(~hits))
@@ -148,31 +186,27 @@ def run_finding(state: SimState, ev: IterationEvents) -> FindingOutput:
 
     # parent comparison per looked-up edge; weight compare on externals.
     ev.add("fm.parent_compares", lookup_ids.size)
-    ev.add("fm.weight_compares",
-           int(np.count_nonzero(examined & external)))
+    ev.add("fm.weight_compares", n_external)
 
     # ---- edge-data DRAM traffic -----------------------------------------
     # Edge words are only fetched for edges actually processed (flagged
     # edges ride the same block but skipped blocks — fully flagged — are
     # never issued, Fig 4c).
-    edges_per_block = max(BLOCK_BYTES // cfg.edge_bytes, 1)
     block_space = g.dst.size // edges_per_block + 1
-    fetched = flat[exam_lookup]
     num_blocks = count_distinct(fetched // edges_per_block, block_space)
     ev.add("mem.fm_edge_blocks",
            state.hbm.access_blocks("fm.edges", num_blocks))
 
     # ---- intra-edge marking (Step 3/6) ----------------------------------
-    newly_intra = exam_lookup & ~external
-    num_marks = int(np.count_nonzero(newly_intra))
-    if cfg.skip_intra_edges and num_marks:
-        state.ie[flat[newly_intra]] = True
-        ev.add("fm.ie_marks", num_marks)
-        num_wb_blocks = count_distinct(
-            flat[newly_intra] // edges_per_block, block_space
-        )
-        ev.add("mem.fm_ie_writeback_blocks",
-               state.hbm.access_blocks("fm.edges_wb", num_wb_blocks))
+    if sie:
+        marked = _concat(marked)
+        if marked.size:
+            state.ie[marked] = True
+            ev.add("fm.ie_marks", marked.size)
+            num_wb_blocks = count_distinct(
+                marked // edges_per_block, block_space)
+            ev.add("mem.fm_ie_writeback_blocks",
+                   state.hbm.access_blocks("fm.edges_wb", num_wb_blocks))
 
     # ---- intra-vertex detection (Step 7) ---------------------------------
     new_iv_vs = vs[~found]
@@ -193,9 +227,8 @@ def run_finding(state: SimState, ev: IterationEvents) -> FindingOutput:
 
     # ---- candidate selection ---------------------------------------------
     # The scan already picked each vertex's candidate (SEW: the first
-    # external edge; otherwise the minimum (weight, eid) one), aligned
-    # with the `found` vertex order by construction.
-    cand_flat = flat[cand_local[found]]
+    # external edge; otherwise the minimum (weight, eid) one).
+    cand_flat = cand_pos[found]
 
     cand_comp = src_comp_per_v[found]
     cand_w = g.weight[cand_flat]
@@ -208,6 +241,11 @@ def run_finding(state: SimState, ev: IterationEvents) -> FindingOutput:
         comps = _commit_minedge(state, ev, cand_comp, cand_w, cand_eid,
                                 cand_target)
     return FindingOutput(comps, int(cand_comp.size), int(new_iv_vs.size))
+
+
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    """One array from a scan's per-round parts; no copy for one round."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _commit_minedge(

@@ -55,10 +55,9 @@ def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     total = int(lens.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    rep_starts = np.repeat(starts, lens)
-    # position within each segment: global arange minus segment base
-    seg_base = np.repeat(np.cumsum(lens) - lens, lens)
-    return rep_starts + (np.arange(total, dtype=np.int64) - seg_base)
+    # global arange shifted, per segment, from its output base to its start
+    shift = starts - (np.cumsum(lens) - lens)
+    return np.repeat(shift, lens) + np.arange(total, dtype=np.int64)
 
 
 def segment_offsets(lens: np.ndarray) -> np.ndarray:

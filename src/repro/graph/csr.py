@@ -190,14 +190,8 @@ class CSRGraph:
         relabelled graph are regrouped by new source id; the relative order
         of a vertex's own edges is preserved.
         """
-        perm = np.asarray(perm, dtype=np.int64)
+        perm = self._check_perm(perm)
         n = self.num_vertices
-        if perm.shape != (n,):
-            raise ValueError("perm must have one entry per vertex")
-        check = np.zeros(n, dtype=bool)
-        check[perm] = True
-        if not check.all():
-            raise ValueError("perm is not a permutation")
         new_src = perm[self.src_expanded()]
         new_dst = perm[self.dst]
         order = np.argsort(new_src, kind="stable")
@@ -207,7 +201,9 @@ class CSRGraph:
             indptr, new_dst[order], self.weight[order], self.eid[order]
         )
 
-    def sort_edges(self, by_weight: bool) -> "CSRGraph":
+    def sort_edges(
+        self, by_weight: bool, *, perm: np.ndarray | None = None
+    ) -> "CSRGraph":
         """Return a copy with each vertex's half-edges sorted.
 
         ``by_weight=True`` implements the SEW preprocessing (Section
@@ -221,8 +217,22 @@ class CSRGraph:
         share a key, and they are identical.
         ``by_weight=False`` sorts by destination id, the canonical
         adjacency order.
+
+        ``perm`` relabels the vertices in the same sort (new id of old
+        vertex ``v`` is ``perm[v]``): the result equals
+        ``self.permute(perm).sort_edges(by_weight)`` without building
+        the relabelled graph.
         """
         src = self.src_expanded()
+        dst = self.dst
+        indptr = self.indptr
+        if perm is not None:
+            perm = self._check_perm(perm)
+            src, dst = perm[src], perm[dst]
+            deg = np.empty(self.num_vertices, dtype=np.int64)
+            deg[perm] = self.degrees()
+            indptr = np.zeros_like(self.indptr)
+            np.cumsum(deg, out=indptr[1:])
         if by_weight:
             m = self.num_edges
             w = np.zeros(m)
@@ -231,10 +241,21 @@ class CSRGraph:
             rank[weight_eid_order(w, np.arange(m))] = np.arange(m)
             order = np.argsort(src * m + rank[self.eid])
         else:
-            order = np.lexsort((self.weight, self.dst, src))
+            order = np.lexsort((self.weight, dst, src))
         return CSRGraph(
-            self.indptr, self.dst[order], self.weight[order], self.eid[order]
+            indptr, dst[order], self.weight[order], self.eid[order]
         )
+
+    def _check_perm(self, perm: np.ndarray) -> np.ndarray:
+        perm = np.asarray(perm, dtype=np.int64)
+        n = self.num_vertices
+        if perm.shape != (n,):
+            raise ValueError("perm must have one entry per vertex")
+        check = np.zeros(n, dtype=bool)
+        check[perm] = True
+        if not check.all():
+            raise ValueError("perm is not a permutation")
+        return perm
 
     def reweight(self, weight: np.ndarray) -> "CSRGraph":
         """Return a copy with new per-undirected-edge weights.

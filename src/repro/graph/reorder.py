@@ -15,6 +15,10 @@ provided:
 
 Both return a permutation ``perm`` with ``perm[old_id] == new_id`` plus the
 relabelled graph, and both are stable and deterministic.
+:func:`degree_permutation` and :func:`dbg_permutation` compute the
+permutation alone; :func:`~repro.graph.preprocess.preprocess` takes it
+from them and builds the run graph in one sort
+(:meth:`~repro.graph.csr.CSRGraph.sort_edges` with ``perm``).
 """
 
 from __future__ import annotations
@@ -25,7 +29,14 @@ import numpy as np
 
 from .csr import CSRGraph
 
-__all__ = ["ReorderResult", "sort_by_degree", "dbg", "identity_order"]
+__all__ = [
+    "ReorderResult",
+    "sort_by_degree",
+    "dbg",
+    "identity_order",
+    "degree_permutation",
+    "dbg_permutation",
+]
 
 
 @dataclass(frozen=True)
@@ -49,47 +60,48 @@ class ReorderResult:
     perm: np.ndarray
     inverse: np.ndarray
 
+    @classmethod
+    def of(cls, graph: CSRGraph, perm: np.ndarray) -> "ReorderResult":
+        """``perm`` and its inverse, with ``graph`` already relabelled."""
+        inverse = np.empty_like(perm)
+        inverse[perm] = np.arange(perm.size, dtype=np.int64)
+        return cls(graph, perm, inverse)
+
     def to_original(self, new_ids: np.ndarray) -> np.ndarray:
         """Map new vertex ids back to original ids."""
         return self.inverse[np.asarray(new_ids, dtype=np.int64)]
 
 
-def _result(graph: CSRGraph, perm: np.ndarray) -> ReorderResult:
-    inverse = np.empty_like(perm)
-    inverse[perm] = np.arange(perm.size, dtype=np.int64)
-    return ReorderResult(graph.permute(perm), perm, inverse)
-
-
 def identity_order(graph: CSRGraph) -> ReorderResult:
     """No-op reordering (baseline for ablations)."""
-    perm = np.arange(graph.num_vertices, dtype=np.int64)
-    return ReorderResult(graph, perm, perm.copy())
+    return ReorderResult.of(
+        graph, np.arange(graph.num_vertices, dtype=np.int64))
 
 
-def sort_by_degree(graph: CSRGraph) -> ReorderResult:
-    """Full descending-degree relabelling (paper's description of DBG)."""
+def degree_permutation(graph: CSRGraph) -> np.ndarray:
+    """The permutation of :func:`sort_by_degree`, without the relabel."""
     deg = graph.degrees()
     # argsort ascending on -degree, stable so equal-degree vertices keep
     # their original relative order.
     order = np.argsort(-deg, kind="stable")
     perm = np.empty(graph.num_vertices, dtype=np.int64)
     perm[order] = np.arange(graph.num_vertices, dtype=np.int64)
-    return _result(graph, perm)
+    return perm
 
 
-def dbg(graph: CSRGraph, num_groups: int = 8) -> ReorderResult:
-    """Degree-based grouping with ``num_groups`` power-of-two degree bins.
+def sort_by_degree(graph: CSRGraph) -> ReorderResult:
+    """Full descending-degree relabelling (paper's description of DBG)."""
+    perm = degree_permutation(graph)
+    return ReorderResult.of(graph.permute(perm), perm)
 
-    Vertices with degree in ``[avg * 2**(k), avg * 2**(k+1))`` share a bin;
-    bins are emitted from hottest to coldest while preserving intra-bin
-    order.  Vertices at or below the average degree land in the coldest
-    bin unsorted, which is what keeps DBG's reordering cost low (Table II).
-    """
+
+def dbg_permutation(graph: CSRGraph, num_groups: int = 8) -> np.ndarray:
+    """The permutation of :func:`dbg`, without the relabel."""
     if num_groups < 1:
         raise ValueError("num_groups must be >= 1")
     deg = graph.degrees().astype(np.float64)
     n = graph.num_vertices
-    avg = max(deg.mean(), 1.0)
+    avg = max(deg.mean(), 1.0) if n else 1.0
     # group 0 = hottest. ratio r = deg/avg; vertices with r >= 2**(g-1)
     # belong to group (num_groups-1-g)... simpler: compute bin index by
     # log2(deg/avg) clipped to [0, num_groups-1], hottest = highest bin.
@@ -100,4 +112,16 @@ def dbg(graph: CSRGraph, num_groups: int = 8) -> ReorderResult:
     order = np.argsort(hotness, kind="stable")
     perm = np.empty(n, dtype=np.int64)
     perm[order] = np.arange(n, dtype=np.int64)
-    return _result(graph, perm)
+    return perm
+
+
+def dbg(graph: CSRGraph, num_groups: int = 8) -> ReorderResult:
+    """Degree-based grouping with ``num_groups`` power-of-two degree bins.
+
+    Vertices with degree in ``[avg * 2**(k), avg * 2**(k+1))`` share a bin;
+    bins are emitted from hottest to coldest while preserving intra-bin
+    order.  Vertices at or below the average degree land in the coldest
+    bin unsorted, which is what keeps DBG's reordering cost low (Table II).
+    """
+    perm = dbg_permutation(graph, num_groups)
+    return ReorderResult.of(graph.permute(perm), perm)

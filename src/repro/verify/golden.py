@@ -86,6 +86,10 @@ GOLDEN_CASES = {
                    AmstConfig.full(4, cache_vertices=16)),
         GoldenCase("rmat-full", _graph_rmat,
                    AmstConfig.full(8, cache_vertices=64)),
+        # the LRU cache is the one whose hits depend on lookup order
+        GoldenCase("rmat-lru", _graph_rmat,
+                   AmstConfig.full(8, cache_vertices=64).with_(
+                       lru_cache=True)),
         GoldenCase("road-full", _graph_road,
                    AmstConfig.full(4, cache_vertices=32)),
         GoldenCase("road-baseline", _graph_road,

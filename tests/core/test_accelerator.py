@@ -1,10 +1,13 @@
 """Integration-grade tests of the full accelerator simulation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core import Amst, AmstConfig
 from repro.graph import (
+    CSRGraph,
     from_edges,
     paper_example,
     preprocess,
@@ -115,6 +118,42 @@ class TestSharedPreprocessing:
         a = Amst(cfg).run(g)
         b = Amst(cfg).run(g, preprocessed=pp)
         assert np.isclose(a.result.total_weight, b.result.total_weight)
+
+    def test_unsorted_preprocessing_rejected_under_sew(self):
+        # adjacency-ordered edges would make the first external edge the
+        # vertex's candidate although it is not its lightest
+        g = rmat(8, 6, rng=3)
+        pp = preprocess(g, sort_edges_by_weight=False)
+        with pytest.raises(ValueError, match="not in \\(weight, eid\\)"):
+            Amst(AmstConfig.full(4, cache_vertices=16)).run(
+                g, preprocessed=pp)
+
+    def test_other_graphs_preprocessing_rejected(self):
+        g = rmat(8, 6, rng=3)
+        pp = preprocess(road_lattice(10, 10))
+        with pytest.raises(ValueError, match="input graph has 256"):
+            Amst(AmstConfig.full(4, cache_vertices=16)).run(
+                g, preprocessed=pp)
+
+    def test_equal_weights_out_of_eid_order_rejected(self):
+        # the weights ascend, but SEW orders a tie by eid
+        g = from_edges(3, [0, 0], [1, 2], [1.0, 1.0])
+        pp = preprocess(g, reorder="identity")
+        h = pp.graph
+        swap = np.array([1, 0, 2, 3])  # vertex 0's two half-edges
+        flipped = replace(pp, graph=CSRGraph(
+            h.indptr, h.dst[swap], h.weight[swap], h.eid[swap]))
+        with pytest.raises(ValueError, match="SEW is on"):
+            Amst(AmstConfig.full(4, cache_vertices=16)).run(
+                g, preprocessed=flipped)
+
+    def test_reorder_mismatch_allowed(self):
+        # the reordering sweep runs one configuration on every strategy
+        g = rmat(8, 6, rng=3)
+        pp = preprocess(g, reorder="dbg")
+        out = Amst(AmstConfig.full(4, cache_vertices=16)).run(
+            g, preprocessed=pp)
+        assert np.array_equal(out.result.edge_ids, kruskal(g).edge_ids)
 
 
 class TestEventSanity:

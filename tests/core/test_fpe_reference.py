@@ -15,7 +15,14 @@ from repro.core import Amst, AmstConfig, SimState
 from repro.core.events import IterationEvents
 from repro.core.finding import run_finding
 from repro.core.fpe_reference import reference_finding_pass
-from repro.graph import erdos_renyi, paper_example, preprocess, rmat, road_lattice
+from repro.graph import (
+    erdos_renyi,
+    from_edges,
+    paper_example,
+    preprocess,
+    rmat,
+    road_lattice,
+)
 
 
 def _mid_state(graph, cfg, k):
@@ -106,3 +113,38 @@ def test_no_sie_never_marks_flags():
     state = _mid_state(rmat(8, 6, rng=15), cfg, 2)
     _compare(state)
     assert not state.ie.any()
+
+
+def _hub_stars():
+    """Stars of 12-90 light leaf edges joined by heavy hub-hub edges.
+
+    After one iteration each star is one component, so a hub's first
+    external edge sits behind all of its now-internal leaf edges, up to
+    90 positions into its segment.
+    """
+    rng = np.random.default_rng(21)
+    leaves = np.array([12, 30, 60, 90])
+    hubs = np.concatenate(([0], np.cumsum(leaves + 1)[:-1]))
+    u = np.repeat(hubs, leaves)
+    v = u + np.concatenate([np.arange(1, k + 1) for k in leaves])
+    a, b = np.triu_indices(hubs.size, 1)
+    return from_edges(
+        int(hubs[-1] + leaves[-1] + 1),
+        np.concatenate((u, hubs[a])),
+        np.concatenate((v, hubs[b])),
+        np.concatenate((rng.uniform(1, 100, u.size),
+                        rng.uniform(200, 300, a.size))),
+    )
+
+
+@pytest.mark.parametrize("siv", [True, False], ids=["siv", "no-siv"])
+@pytest.mark.parametrize("sie", [True, False], ids=["sie", "no-sie"])
+def test_hub_first_external_edges_deep_in_segment(sie, siv):
+    cfg = AmstConfig.full(4, cache_vertices=16).with_(
+        skip_intra_edges=sie, skip_intra_vertices=siv)
+    state = _mid_state(_hub_stars(), cfg, 1)
+    before = state.timers.calls["kernel.fm_scan"]
+    _compare(state)
+    # scan rounds cover 8, then 16, 32, 64 more edges of a segment: the
+    # 30-, 60- and 90-leaf hubs need rounds 3 and 4
+    assert state.timers.calls["kernel.fm_scan"] - before == 4

@@ -2,9 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.graph import is_weight_sorted, preprocess, rmat
+from repro.graph import (
+    CSRGraph,
+    dbg,
+    from_edges,
+    identity_order,
+    is_weight_sorted,
+    preprocess,
+    rmat,
+    sort_by_degree,
+)
 from repro.mst import kruskal
+from repro.verify.strategies import graphs
 
 
 class TestPreprocess:
@@ -57,3 +69,39 @@ class TestIsWeightSorted:
     def test_trivial_graphs_sorted(self):
         from repro.graph import path_graph
         assert is_weight_sorted(path_graph(2))
+
+    def test_equal_weights_need_eid_order(self):
+        g = from_edges(3, [0, 0], [1, 2], [1.0, 1.0])
+        h = preprocess(g, reorder="identity").graph
+        assert is_weight_sorted(h)
+        swap = np.array([1, 0, 2, 3])  # vertex 0's two half-edges
+        assert not is_weight_sorted(CSRGraph(
+            h.indptr, h.dst[swap], h.weight[swap], h.eid[swap]))
+
+    def test_nan_weights_sort_last(self):
+        g = from_edges(3, [0, 0, 1], [1, 2, 2], [np.nan, 1.0, np.nan])
+        assert is_weight_sorted(preprocess(g).graph)
+        assert not is_weight_sorted(preprocess(
+            g, sort_edges_by_weight=False).graph)
+
+
+#: the reorder strategies preprocess() accepts, by name
+STRATEGIES = {"sort": sort_by_degree, "dbg": dbg, "identity": identity_order}
+
+
+class TestPreprocessMatchesRelabelThenSort:
+    """preprocess() builds the run graph the two-step way would."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(graphs(), st.sampled_from(sorted(STRATEGIES)), st.booleans())
+    def test_equals_strategy_then_sort_edges(self, g, reorder, sew):
+        pp = preprocess(g, reorder=reorder, sort_edges_by_weight=sew)
+        rr = STRATEGIES[reorder](g)
+        want = rr.graph.sort_edges(by_weight=sew)
+        for name in ("indptr", "dst", "weight", "eid"):
+            assert (getattr(pp.graph, name).tobytes()
+                    == getattr(want, name).tobytes()), name
+        assert pp.reorder.perm.tobytes() == rr.perm.tobytes()
+        assert pp.reorder.inverse.tobytes() == rr.inverse.tobytes()
+        assert pp.reorder.graph is pp.graph
