@@ -50,6 +50,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from ..core.config import AmstConfig
 from ..graph.csr import CSRGraph
 from ..graph.preprocess import PreprocessResult, preprocess
@@ -368,21 +370,20 @@ def cached_run(
 
 def cached_certificate(
     graph: CSRGraph,
-    cfg: AmstConfig,
     edge_ids,
     *,
     cache: RunCache | None = None,
     graph_fp: str | None = None,
 ) -> str | None:
-    """Memoized cut-property certificate of a run's forest.
+    """Memoized cycle-property certificate of a forest.
 
     Returns the certification error string, or ``None`` when the forest
-    certifies as minimum.  The simulator is deterministic, so the forest
-    — and therefore the certificate — is a pure function of
-    ``(graph, cfg)``; the key mirrors ``cached_run`` (``cert:`` prefix)
-    and a hit skips the O(n·m) path-maximum recheck, which dominates a
-    warm oracle pass.  The value is stored wrapped in a 1-tuple because
-    ``None`` is a legitimate (successful) verdict.
+    certifies as the canonical minimum forest.  The verdict is a pure
+    function of the graph and the forest, so the ``cert:`` key names
+    both (graph fingerprint, hash of the sorted edge ids): the oracle's
+    configurations share one forest per graph and one certification.
+    The value is stored wrapped in a 1-tuple because ``None`` is a
+    legitimate (successful) verdict.
     """
     from ..mst.certificate import certify_minimum_forest
 
@@ -396,5 +397,7 @@ def cached_certificate(
     if cache is None:
         return compute()
     fp = graph_fp or graph_fingerprint(graph)
-    key = f"cert:{fp}:{config_fingerprint(cfg)}"
-    return cache.get_or_compute(key, lambda: (compute(),))[0]
+    ids = np.sort(np.asarray(edge_ids, dtype=np.int64))
+    forest_fp = hashlib.blake2b(ids.tobytes(), digest_size=16).hexdigest()
+    return cache.get_or_compute(f"cert:{fp}:{forest_fp}",
+                                lambda: (compute(),))[0]

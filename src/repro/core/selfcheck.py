@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..mst.forest import acyclic_roots
 from .events import EventLog
 from .perf import PerfReport, build_report
 
@@ -41,30 +42,6 @@ __all__ = ["SelfCheckError", "check_state_invariants",
 
 class SelfCheckError(AssertionError):
     """A simulator invariant was violated (corrupted state or counts)."""
-
-
-def _resolve_acyclic(parent: np.ndarray) -> np.ndarray | None:
-    """Fully-resolved roots, or ``None`` if a pointer chain cycles.
-
-    Bounded pointer doubling: every round at least halves the maximum
-    chain depth, so ``ceil(log2(n)) + 2`` rounds suffice for any acyclic
-    forest; failing to reach a fixed point within the bound proves a
-    cycle.  Even-length cycles are invisible to squaring (a 2-cycle's
-    square is two fixed points), so the converged targets must also be
-    genuine fixed points of ``parent`` itself.
-    """
-    n = parent.size
-    if n == 0:
-        return parent.copy()
-    cur = parent.copy()
-    for _ in range(int(np.ceil(np.log2(max(n, 2)))) + 2):
-        nxt = cur[cur]
-        if np.array_equal(nxt, cur):
-            if not np.all(parent[cur] == cur):
-                return None  # converged onto a cycle, not real roots
-            return cur
-        cur = nxt
-    return None
 
 
 def _cache_problems(label: str, stats, prev: tuple | None) -> list[str]:
@@ -199,7 +176,7 @@ def check_state_invariants(state, log: EventLog | None = None) -> None:
         problems.append("parent entry out of range [0, n)")
         resolved = None
     else:
-        resolved = _resolve_acyclic(parent)
+        resolved = acyclic_roots(parent)
         if resolved is None:
             problems.append(
                 "parent chains do not converge (union-find cycle)"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..mst.union_find import pointer_jump
+from ..mst.union_find import hook_labels
 from .csr import CSRGraph
 
 __all__ = ["connected_components", "component_sizes", "is_connected"]
@@ -19,22 +19,11 @@ __all__ = ["connected_components", "component_sizes", "is_connected"]
 def connected_components(graph: CSRGraph) -> np.ndarray:
     """Component label per vertex (the minimum vertex id in the component).
 
-    Vectorized hook-and-jump: repeatedly point every vertex at the
-    smallest label among itself and its neighbors, then compress.
-    Converges in O(log n) rounds.
+    Whole-array hook-and-jump (:func:`~repro.mst.union_find.hook_labels`),
+    converging in O(log n) rounds.
     """
-    n = graph.num_vertices
-    labels = np.arange(n, dtype=np.int64)
-    src = graph.src_expanded()
-    dst = graph.dst
-    while True:
-        neighbor_min = labels.copy()
-        # hook: pull the smallest neighboring label
-        np.minimum.at(neighbor_min, src, labels[dst])
-        changed = neighbor_min < labels
-        if not changed.any():
-            return labels
-        labels = pointer_jump(neighbor_min)
+    u, v, _ = graph.edge_endpoints()
+    return hook_labels(graph.num_vertices, u, v)
 
 
 def component_sizes(graph: CSRGraph) -> np.ndarray:

@@ -23,8 +23,8 @@ arguments:
 
 The rooted-forest bookkeeping (``parent``/``parent_eid`` arrays plus a
 per-vertex adjacency of tree edges) is repaired locally: path reversal
-for re-rooting, smaller-side relabelling for component labels, so the
-work per update is proportional to the affected region, not the graph.
+for re-rooting, smaller-side relabelling for component labels (a merge
+finds that side by a label scan), so Python work per update stays local.
 When a batch is too large for that to pay off — more updates than
 ``fallback_fraction`` of the live edges, or the touched region grows
 past the same fraction mid-batch — the engine falls back to one full
@@ -51,11 +51,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..bench.runcache import RunCache, cached_reference
-from ..core.utils import concat_ranges
 from ..graph.csr import CSRGraph
+from ..mst.forest import acyclic_roots, root_forest
 from ..mst.kruskal import kruskal
 from ..mst.result import MSTResult
-from ..mst.union_find import UnionFind
 from ..obs.context import current_telemetry
 from .dynamic import DynamicGraph, UpdateBatch
 
@@ -253,67 +252,48 @@ class IncrementalMst:
     def check_invariants(self) -> None:
         """Validate the full forest structure; raises on corruption.
 
-        One vectorized multi-source BFS over the tree adjacency proves:
-        every forest edge is alive and loop-free, the parent structure
-        is an in-forest rooted forest reaching every vertex exactly
-        once (no cycles, no orphans), component labels are constant per
-        tree and distinct across trees, and the component sizes add up.
-        This is what catches e.g. a corrupted replacement edge (see
-        ``tests/incremental/test_faults.py``).
+        Pointer doubling (:func:`~repro.mst.forest.acyclic_roots`)
+        proves the parent pointers acyclic; whole-array checks then
+        prove one root per component, that each non-root's
+        ``parent_eid`` is an alive forest edge joining it to its parent
+        and no forest edge serves two children (so the parent structure
+        *is* the forest), labels constant per tree and distinct across
+        trees, and the size ledger.  ``tests/incremental/test_faults.py``
+        corrupts each of these, and a repair, in turn.
         """
         dyn = self.dyn
         n = dyn.num_vertices
-        internal = np.flatnonzero(self._in_forest.view)
-        f = int(internal.size)
+        mask = self._in_forest.view
+        f = int(np.count_nonzero(mask))
         if f != self._forest_count:
             raise IncrementalError(
                 f"forest count drifted: mask has {f}, "
                 f"engine says {self._forest_count}")
-        if f and not dyn.alive[internal].all():
+        if not dyn.alive[mask].all():
             raise IncrementalError("forest contains a dead edge")
-        a, b = dyn.eu[internal], dyn.ev[internal]
-        if (a == b).any():
-            raise IncrementalError("forest contains a self-loop")
-        roots = np.flatnonzero(self._parent == np.arange(n))
-        if int(roots.size) != n - f:
+        parent, parent_eid = self._parent, self._parent_eid
+        if n and (parent.min() < 0 or parent.max() >= n):
+            raise IncrementalError("parent pointer out of range")
+        root_of = acyclic_roots(parent)
+        if root_of is None:
+            raise IncrementalError("cycle in the parent pointers")
+        is_root = parent == np.arange(n)
+        roots, child = np.flatnonzero(is_root), np.flatnonzero(~is_root)
+        if roots.size != n - f:
             raise IncrementalError(
                 f"{roots.size} parent roots for {n - f} components")
+        eid = parent_eid[child]
+        # f children, f forest edges: equal sorted lists mean one each
+        if not np.array_equal(np.sort(eid), np.flatnonzero(mask)):
+            raise IncrementalError(
+                "parent_eid names a non-forest edge or shares one")
+        a, b, p = dyn.eu[eid], dyn.ev[eid], parent[child]
+        if not (((a == child) & (b == p)) | ((b == child) & (a == p))).all():
+            raise IncrementalError("parent_eid does not join its parent")
+        if not np.array_equal(self._comp, self._comp[root_of]):
+            raise IncrementalError("component label changes mid-tree")
         if np.unique(self._comp[roots]).size != roots.size:
             raise IncrementalError("duplicate component label on roots")
-        src = np.concatenate([a, b])
-        dst = np.concatenate([b, a])
-        eid2 = np.concatenate([internal, internal])
-        order = np.argsort(src, kind="stable")
-        adj_dst, adj_eid = dst[order], eid2[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        visited = np.zeros(n, dtype=bool)
-        visited[roots] = True
-        frontier = roots
-        used = 0
-        while frontier.size:
-            starts, ends = indptr[frontier], indptr[frontier + 1]
-            idx = concat_ranges(starts, ends)
-            nbrs = adj_dst[idx]
-            owner = np.repeat(frontier, ends - starts)
-            eids = adj_eid[idx]
-            new = ~visited[nbrs]
-            nbrs, owner, eids = nbrs[new], owner[new], eids[new]
-            if np.unique(nbrs).size != nbrs.size:
-                raise IncrementalError("cycle in forest adjacency")
-            if not (self._parent[nbrs] == owner).all():
-                raise IncrementalError("parent array disagrees with BFS")
-            if not (self._parent_eid[nbrs] == eids).all():
-                raise IncrementalError("parent_eid disagrees with BFS")
-            if not (self._comp[nbrs] == self._comp[owner]).all():
-                raise IncrementalError("component label changes mid-tree")
-            visited[nbrs] = True
-            used += int(nbrs.size)
-            frontier = nbrs
-        if used != f or not visited.all():
-            raise IncrementalError(
-                f"forest BFS covered {int(visited.sum())}/{n} vertices "
-                f"via {used}/{f} edges — disconnected or cyclic state")
         labels, counts = np.unique(self._comp, return_counts=True)
         sizes = dict(zip(labels.tolist(), counts.tolist()))
         if sizes != self._comp_size:
@@ -425,24 +405,22 @@ class IncrementalMst:
                            fresh_labels: bool = False) -> None:
         """Parent arrays + tree adjacency from a forest edge set.
 
-        One DSU pass finds the component representatives, then a
-        vectorized multi-source BFS assigns ``parent``/``parent_eid``
+        One :func:`~repro.mst.forest.root_forest` call roots every tree
+        at its smallest vertex and assigns ``parent``/``parent_eid``
         (with ``fresh_labels`` also the component labels).  Raises
         :class:`IncrementalError` if the edge set is not a forest.
         """
         dyn = self.dyn
         n = dyn.num_vertices
         internal = np.asarray(internal, dtype=np.int64)
-        f = int(internal.size)
-        self._forest_count = f
+        self._forest_count = int(internal.size)
         a, b = dyn.eu[internal], dyn.ev[internal]
-        dsu = UnionFind(n)
-        for x, y in zip(a.tolist(), b.tolist()):
-            if not dsu.union(x, y):
-                raise IncrementalError(
-                    "edge set handed to the forest rebuild has a cycle")
-        labels = dsu.component_labels()
-        roots = np.unique(labels)
+        try:
+            parent, parent_edge, _, labels = root_forest(n, a, b)
+        except ValueError:
+            raise IncrementalError(
+                "edge set handed to the forest rebuild has a cycle"
+            ) from None
         if fresh_labels:
             self._comp = labels
             self._next_label = n
@@ -453,35 +431,9 @@ class IncrementalMst:
         for x, y, e in zip(a.tolist(), b.tolist(), internal.tolist()):
             adj[x][y] = e
             adj[y][x] = e
-        # vectorized BFS from the representatives
-        src = np.concatenate([a, b])
-        dst = np.concatenate([b, a])
-        eid2 = np.concatenate([internal, internal])
-        order = np.argsort(src, kind="stable")
-        adj_dst, adj_eid = dst[order], eid2[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        parent = np.arange(n, dtype=np.int64)
-        parent_eid = np.full(n, -1, dtype=np.int64)
-        visited = np.zeros(n, dtype=bool)
-        visited[roots] = True
-        frontier = roots
-        while frontier.size:
-            starts, ends = indptr[frontier], indptr[frontier + 1]
-            idx = concat_ranges(starts, ends)
-            nbrs = adj_dst[idx]
-            owner = np.repeat(frontier, ends - starts)
-            eids = adj_eid[idx]
-            new = ~visited[nbrs]
-            nbrs, owner, eids = nbrs[new], owner[new], eids[new]
-            parent[nbrs] = owner
-            parent_eid[nbrs] = eids
-            visited[nbrs] = True
-            frontier = nbrs
-        if not visited.all():
-            raise IncrementalError("forest rebuild left orphan vertices")
         self._parent = parent
-        self._parent_eid = parent_eid
+        # a root's parent_edge of -1 picks the appended -1
+        self._parent_eid = np.append(internal, -1)[parent_edge]
 
     # ------------------------------------------------------------------
     # Per-edge repair: insertion
@@ -508,8 +460,8 @@ class IncrementalMst:
             x, y, small, big = v, u, cv, cu
         else:
             x, y, small, big = u, v, cu, cv
-        members = self._component_members(x)
-        stats.edges_touched += len(members)
+        members = np.flatnonzero(self._comp == small)
+        stats.edges_touched += members.size
         self._reroot(x)
         self._parent[x] = y
         self._parent_eid[x] = internal
@@ -641,19 +593,6 @@ class IncrementalMst:
     # ------------------------------------------------------------------
     # Rooted-forest primitives
     # ------------------------------------------------------------------
-    def _component_members(self, start: int) -> np.ndarray:
-        """All vertices of ``start``'s tree (BFS over tree adjacency)."""
-        adj = self._tree_adj
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for nbr in adj[x]:
-                if nbr not in seen:
-                    seen.add(nbr)
-                    queue.append(nbr)
-        return np.fromiter(seen, count=len(seen), dtype=np.int64)
-
     def _walk_root(self, x: int) -> int:
         """Root of ``x``'s tree (bounded parent walk)."""
         parent = self._parent

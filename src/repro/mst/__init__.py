@@ -1,7 +1,7 @@
 """Reference MST algorithms and validation."""
 
 from .boruvka import STAGE_NAMES, BoruvkaStats, IterationStats, boruvka
-from .certificate import certify_minimum_forest, max_edge_on_path
+from .certificate import certify_minimum_forest
 from .filter_kruskal import filter_kruskal
 from .kruskal import kruskal
 from .prim import prim
@@ -18,7 +18,6 @@ __all__ = [
     "kruskal",
     "filter_kruskal",
     "certify_minimum_forest",
-    "max_edge_on_path",
     "prim",
     "MSTResult",
     "UnionFind",

@@ -2,112 +2,50 @@
 
 `validate_mst` proves a forest's weight equals Kruskal's — convincing, but
 circular if Kruskal itself were wrong.  This module certifies minimality
-from first principles via the **cycle property**: a spanning forest F of
-G is minimum iff for every non-forest edge (u, v, w), w is at least the
-maximum edge weight on F's unique u–v path.  (With ties broken by edge
-id, the strict form also certifies *the* canonical MST.)
-
-The check runs in O(m · h) where h is the forest height after rooting —
-fine for test-scale graphs, and entirely independent of every MST
-implementation in this repo (it never calls union-find).
+from first principles via the strict **cycle property** under the
+repo-wide ``(weight, eid)`` order: a spanning forest F of G is *the*
+canonical minimum spanning forest iff every non-forest edge outranks
+every edge on F's path between its endpoints.  One rooting and one
+lockstep climb (:mod:`repro.mst.forest`) check all non-forest edges at
+once, and no MST algorithm is called.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from ..graph.csr import CSRGraph
+from .forest import path_max_edge
+from .validate import root_spanning_forest
 
-__all__ = ["certify_minimum_forest", "max_edge_on_path"]
-
-
-def _root_forest(
-    graph: CSRGraph, tree_edges: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """BFS-root every tree of the forest.
-
-    Returns ``(parent, parent_weight, depth)`` where ``parent[v]`` is v's
-    parent in its rooted tree (or v itself for roots) and
-    ``parent_weight[v]`` the weight of the edge to the parent.
-    """
-    n = graph.num_vertices
-    u, v, w = graph.edge_endpoints()
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for e in tree_edges:
-        a, b, ww = int(u[e]), int(v[e]), float(w[e])
-        adj[a].append((b, ww))
-        adj[b].append((a, ww))
-
-    parent = np.arange(n, dtype=np.int64)
-    parent_weight = np.zeros(n, dtype=np.float64)
-    depth = np.full(n, -1, dtype=np.int64)
-    for start in range(n):
-        if depth[start] >= 0:
-            continue
-        depth[start] = 0
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y, ww in adj[x]:
-                if depth[y] < 0:
-                    depth[y] = depth[x] + 1
-                    parent[y] = x
-                    parent_weight[y] = ww
-                    queue.append(y)
-    return parent, parent_weight, depth
-
-
-def max_edge_on_path(
-    a: int,
-    b: int,
-    parent: np.ndarray,
-    parent_weight: np.ndarray,
-    depth: np.ndarray,
-) -> float:
-    """Maximum edge weight on the rooted-forest path a..b.
-
-    Returns ``-inf`` when ``a == b`` and raises if the endpoints live in
-    different trees (no path).
-    """
-    best = float("-inf")
-    x, y = int(a), int(b)
-    while depth[x] > depth[y]:
-        best = max(best, float(parent_weight[x]))
-        x = int(parent[x])
-    while depth[y] > depth[x]:
-        best = max(best, float(parent_weight[y]))
-        y = int(parent[y])
-    while x != y:
-        if parent[x] == x and parent[y] == y:
-            raise ValueError("endpoints are in different trees")
-        best = max(best, float(parent_weight[x]), float(parent_weight[y]))
-        x = int(parent[x])
-        y = int(parent[y])
-    return best
+__all__ = ["certify_minimum_forest"]
 
 
 def certify_minimum_forest(
     graph: CSRGraph, edge_ids: np.ndarray
 ) -> None:
-    """Raise AssertionError unless ``edge_ids`` is a minimum spanning
-    forest of ``graph`` (independent first-principles proof)."""
-    from .validate import is_spanning_forest
-
+    """Raise AssertionError unless ``edge_ids`` is the canonical
+    ``(weight, eid)`` minimum spanning forest of ``graph``
+    (independent first-principles proof)."""
     edge_ids = np.asarray(edge_ids, dtype=np.int64)
-    if not is_spanning_forest(graph, edge_ids):
+    rooted = root_spanning_forest(graph, edge_ids)
+    if rooted is None:
         raise AssertionError("not a spanning forest")
-    parent, parent_weight, depth = _root_forest(graph, edge_ids)
-    in_forest = np.zeros(graph.num_edges, dtype=bool)
-    in_forest[edge_ids] = True
+    parent, parent_edge, depth, _ = rooted
+    m = graph.num_edges
     u, v, w = graph.edge_endpoints()
-    for e in np.flatnonzero(~in_forest):
-        a, b = int(u[e]), int(v[e])
-        path_max = max_edge_on_path(a, b, parent, parent_weight, depth)
-        if w[e] < path_max:
-            raise AssertionError(
-                f"cycle property violated: non-tree edge {e} "
-                f"({a}-{b}, w={w[e]}) is lighter than the path maximum "
-                f"{path_max}"
-            )
+    rank = np.empty(m, dtype=np.int64)
+    rank[np.lexsort((np.arange(m), w))] = np.arange(m)
+    in_forest = np.zeros(m, dtype=bool)
+    in_forest[edge_ids] = True
+    # a self-loop closes an empty path: no forest edge to outrank
+    others = np.flatnonzero(~in_forest & (u != v))
+    top = edge_ids[path_max_edge(parent, parent_edge, depth,
+                                 rank[edge_ids], u[others], v[others])]
+    beaten = np.flatnonzero(rank[others] < rank[top])
+    if beaten.size:
+        e, f = int(others[beaten[0]]), int(top[beaten[0]])
+        raise AssertionError(
+            f"cycle property violated: non-tree edge {e} ({u[e]}-{v[e]}, "
+            f"w={w[e]}) precedes its path maximum {f} (w={w[f]}) in "
+            "(weight, eid) order")

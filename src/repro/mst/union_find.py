@@ -2,10 +2,10 @@
 
 Used by the validators and the reference algorithms.  The scalar
 interface is the textbook union-by-rank + path-halving structure; the
-vectorized helpers (:meth:`UnionFind.find_many`, :func:`pointer_jump`)
-serve the NumPy-heavy Borůvka implementations, where per-element Python
-calls would dominate runtime.  They run the ``find_many`` /
-``pointer_jump`` kernels of :mod:`repro.kernels.numpy_impl`.
+vectorized helpers (:meth:`UnionFind.find_many`, :func:`pointer_jump`,
+:func:`hook_labels`) serve Borůvka and the forest checkers, where
+per-element Python calls would dominate runtime.  They run the
+``find_many`` / ``pointer_jump`` kernels of :mod:`repro.kernels.numpy_impl`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from ..kernels import numpy_impl
 
-__all__ = ["UnionFind", "pointer_jump"]
+__all__ = ["UnionFind", "hook_labels", "pointer_jump"]
 
 
 class UnionFind:
@@ -64,10 +64,6 @@ class UnionFind:
         """Vectorized find (no compression writes; read-only batch)."""
         return numpy_impl.find_many(self.parent, np.asarray(xs, dtype=np.int64))
 
-    def component_labels(self) -> np.ndarray:
-        """Root id of every element (fully compressed snapshot)."""
-        return pointer_jump(self.parent.copy())
-
 
 def pointer_jump(parent: np.ndarray) -> np.ndarray:
     """Iterated ``parent = parent[parent]`` until a fixed point.
@@ -81,3 +77,22 @@ def pointer_jump(parent: np.ndarray) -> np.ndarray:
     if parent.dtype.kind not in "iu":
         raise TypeError("parent must be an integer array")
     return numpy_impl.pointer_jump(parent)
+
+
+def hook_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Component label (smallest vertex) per vertex of the graph whose
+    edge ``i`` joins ``a[i]``–``b[i]``: whole-array union-find.
+
+    Each round hooks every root onto the smallest root it shares an edge
+    with, then shortcuts (:func:`pointer_jump`).  Pointers only decrease,
+    so no hook closes a loop; a root merges within two rounds.
+    """
+    labels = np.arange(n, dtype=np.int64)
+    while True:
+        la, lb = labels[a], labels[b]
+        split = la != lb
+        if not split.any():
+            return labels
+        la, lb = la[split], lb[split]
+        np.minimum.at(labels, np.maximum(la, lb), np.minimum(la, lb))
+        pointer_jump(labels)

@@ -15,11 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import CSRGraph
+from .forest import root_forest
 from .kruskal import kruskal
 from .result import MSTResult
-from .union_find import UnionFind
 
-__all__ = ["is_spanning_forest", "validate_mst", "forest_weight"]
+__all__ = ["is_spanning_forest", "root_spanning_forest", "validate_mst",
+           "forest_weight"]
 
 
 def forest_weight(graph: CSRGraph, edge_ids: np.ndarray) -> float:
@@ -28,22 +29,24 @@ def forest_weight(graph: CSRGraph, edge_ids: np.ndarray) -> float:
     return float(w[np.asarray(edge_ids, dtype=np.int64)].sum())
 
 
-def is_spanning_forest(graph: CSRGraph, edge_ids: np.ndarray) -> bool:
-    """True iff ``edge_ids`` forms a spanning forest of ``graph``."""
-    n = graph.num_vertices
+def root_spanning_forest(graph: CSRGraph, edge_ids: np.ndarray):
+    """:func:`~repro.mst.forest.root_forest` of ``edge_ids``, or ``None``
+    unless they form a spanning forest of ``graph``."""
     u, v, _ = graph.edge_endpoints()
     eids = np.asarray(edge_ids, dtype=np.int64)
     if eids.size and (eids.min() < 0 or eids.max() >= graph.num_edges):
-        return False
-    dsu = UnionFind(n)
-    for e in eids:
-        if not dsu.union(int(u[e]), int(v[e])):
-            return False  # cycle
-    # Spanning: adding any graph edge must not reduce component count.
-    src = graph.src_expanded()
-    roots_u = dsu.find_many(src)
-    roots_v = dsu.find_many(graph.dst)
-    return bool(np.array_equal(roots_u, roots_v))
+        return None
+    try:
+        rooted = root_forest(graph.num_vertices, u[eids], v[eids])
+    except ValueError:
+        return None  # cycle
+    # Spanning: no graph edge joins two trees.
+    return rooted if np.array_equal(rooted[3][u], rooted[3][v]) else None
+
+
+def is_spanning_forest(graph: CSRGraph, edge_ids: np.ndarray) -> bool:
+    """True iff ``edge_ids`` forms a spanning forest of ``graph``."""
+    return root_spanning_forest(graph, edge_ids) is not None
 
 
 def validate_mst(

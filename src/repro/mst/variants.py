@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from .certificate import _root_forest, max_edge_on_path
+from .forest import path_max_edge, root_forest
 from .kruskal import kruskal
 from .result import MSTResult
 
@@ -56,14 +56,15 @@ def minimax_path_weight(
         raise ValueError("pairs must have shape (k, 2)")
     if forest is None:
         forest = kruskal(graph)
-    parent, pw, depth = _root_forest(graph, forest.edge_ids)
-    out = np.empty(pairs.shape[0], dtype=np.float64)
-    for i, (a, b) in enumerate(pairs):
-        if a == b:
-            out[i] = 0.0
-            continue
-        try:
-            out[i] = max_edge_on_path(int(a), int(b), parent, pw, depth)
-        except ValueError:
-            out[i] = np.inf
+    ids = forest.edge_ids
+    u, v, w = graph.edge_endpoints()
+    parent, parent_edge, depth, labels = root_forest(
+        graph.num_vertices, u[ids], v[ids])
+    rank = np.argsort(np.argsort(w[ids], kind="stable"))
+    x, y = pairs[:, 0], pairs[:, 1]
+    same = labels[x] == labels[y]
+    out = np.where(same, 0.0, np.inf)
+    path = np.flatnonzero(same & (x != y))
+    top = path_max_edge(parent, parent_edge, depth, rank, x[path], y[path])
+    out[path] = w[ids[top]]
     return out

@@ -186,6 +186,12 @@ class AmstDaemon:
         Idempotent; returns the final accounting the ``/v1/shutdown``
         response carries.
         """
+        summary = self._wind_down(drain, timeout)
+        self._stop_listener()
+        return summary
+
+    def _wind_down(self, drain: bool, timeout: float) -> dict:
+        """Everything :meth:`shutdown` does but stopping the listener."""
         with self._state_lock:
             first = not self._draining
             self._draining = True
@@ -204,17 +210,19 @@ class AmstDaemon:
             }
             manifest = str(RunStore(self.config.runs_dir).write(
                 self.telemetry))
+        return {
+            "jobs": depth,
+            "shm_segments": list(self.registry.active_segments()),
+            "session_manifest": manifest,
+        }
+
+    def _stop_listener(self) -> None:
         if self._httpd is not None:
             # stop the listener from a helper thread: shutdown() blocks
             # until serve_forever exits, and we may be on a handler
             # thread that serve_forever is indirectly waiting on
             httpd = self._httpd
             threading.Thread(target=httpd.shutdown, daemon=True).start()
-        return {
-            "jobs": depth,
-            "shm_segments": list(self.registry.active_segments()),
-            "session_manifest": manifest,
-        }
 
     @property
     def draining(self) -> bool:
@@ -779,10 +787,15 @@ def _make_handler(daemon: AmstDaemon):
                 body = {}
                 if int(self.headers.get("Content-Length") or 0):
                     body = self._read_json()
-                summary = daemon.shutdown(
-                    drain=bool(body.get("drain", True)),
-                    timeout=float(body.get("timeout_s", 30.0)))
-                self._send_json(200, summary)
+                summary = daemon._wind_down(
+                    bool(body.get("drain", True)),
+                    float(body.get("timeout_s", 30.0)))
+                try:
+                    self._send_json(200, summary)
+                finally:
+                    # only now: `amst serve` exits once the listener
+                    # stops, and an earlier stop could cut this reply
+                    daemon._stop_listener()
             else:
                 raise ServeError(
                     "not_found",

@@ -17,8 +17,10 @@ on the *same* graph, then cross-checks:
   instrumented reference Borůvka for simulator entries (the simulator
   is iteration-for-iteration the same algorithm);
 * **first-principles certificate** — the simulator forest is certified
-  minimal via the cycle property (``repro.mst.certificate``), which
-  never touches union-find and is independent of every oracle.
+  as the canonical minimum forest via the strict cycle property
+  (``repro.mst.certificate``: union-find hooking labels the trees, a
+  BFS roots them, path maxima come from one lockstep climb), which
+  calls no MST algorithm and is independent of every oracle.
 
 Disagreements are collected into a structured
 :class:`OracleReport` whose :meth:`~OracleReport.format` prints a
@@ -37,13 +39,7 @@ import numpy as np
 from ..core import Amst, AmstConfig
 from ..graph.csr import CSRGraph
 from ..obs.context import current_telemetry
-from ..mst import (
-    boruvka,
-    certify_minimum_forest,
-    filter_kruskal,
-    kruskal,
-    prim,
-)
+from ..mst import boruvka, filter_kruskal, kruskal, prim
 from ..mst.result import MSTResult
 
 __all__ = [
@@ -252,16 +248,13 @@ def _oracle_sim_task(cfg: AmstConfig, graph, certify: bool) -> tuple:
     of the whole :class:`AmstOutput`, so only the forest travels back
     through the pool.
     """
+    from ..bench.runcache import cached_certificate
     from ..graph.shm import resolve_graph
 
     g = resolve_graph(graph)
     out = Amst(cfg).run(g)
-    cert_error = None
-    if certify:
-        try:
-            certify_minimum_forest(g, out.result.edge_ids)
-        except AssertionError as exc:
-            cert_error = str(exc)
+    cert_error = (cached_certificate(g, out.result.edge_ids)
+                  if certify else None)
     return ((out.result, _sim_components_per_iteration(out), cert_error),)
 
 
@@ -309,10 +302,9 @@ def _serial_runs(graph, references, configs, certify, cache):
     for label, cfg in configs.items():
         out = cached_run(graph, cfg, cache=cache, graph_fp=fp,
                          preprocessed=_pre(preprocess_options(cfg)))
-        cert_error = None
-        if certify:
-            cert_error = cached_certificate(
-                graph, cfg, out.result.edge_ids, cache=cache, graph_fp=fp)
+        cert_error = (cached_certificate(graph, out.result.edge_ids,
+                                         cache=cache, graph_fp=fp)
+                      if certify else None)
         sim_payloads[label] = (
             out.result, _sim_components_per_iteration(out), cert_error)
     return ref_results, ref_boruvka, sim_payloads
@@ -381,7 +373,7 @@ def run_oracle(
         first entry — conventionally Kruskal — is the canonical oracle.
     certify:
         Additionally prove every simulator forest minimal from first
-        principles via the cycle property (O(m·h), fine at test scale).
+        principles via the cycle property (O(m·h), h the forest height).
     cache:
         Optional :class:`~repro.bench.runcache.RunCache`: memoizes
         reference forests, preprocessing passes and whole simulator

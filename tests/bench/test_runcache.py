@@ -181,11 +181,9 @@ class TestDomainHelpers:
     def test_cached_certificate_matches_direct(self, graph):
         cache = RunCache()
         out = cached_run(graph, CFG, cache=cache)
-        direct = cached_certificate(graph, CFG, out.result.edge_ids)
-        warm = cached_certificate(graph, CFG, out.result.edge_ids,
-                                  cache=cache)
-        again = cached_certificate(graph, CFG, out.result.edge_ids,
-                                   cache=cache)
+        direct = cached_certificate(graph, out.result.edge_ids)
+        warm = cached_certificate(graph, out.result.edge_ids, cache=cache)
+        again = cached_certificate(graph, out.result.edge_ids, cache=cache)
         assert direct is None  # the simulator's forest certifies
         assert warm == direct and again == direct
         assert cache.stats()["memory_hits"] >= 1
@@ -194,9 +192,29 @@ class TestDomainHelpers:
         cache = RunCache()
         # a deliberately non-minimum "forest": the heaviest edges
         bad = np.argsort(graph.edge_endpoints()[2])[-3:]
-        first = cached_certificate(graph, CFG, bad, cache=cache)
-        second = cached_certificate(graph, CFG, bad, cache=cache)
+        first = cached_certificate(graph, bad, cache=cache)
+        second = cached_certificate(graph, bad, cache=cache)
         assert first is not None and second == first
+
+    def test_cached_certificate_keys_on_the_forest(self):
+        # one graph, two forests, one cache: the second verdict must be
+        # the second forest's, not the first one's read back
+        g = rmat(8, 6, rng=3)
+        cache = RunCache()
+        good = kruskal(g).edge_ids
+        heavy = np.argsort(g.edge_endpoints()[2])[-good.size:]
+        assert cached_certificate(g, good, cache=cache) is None
+        verdict = cached_certificate(g, heavy, cache=cache)
+        assert verdict == cached_certificate(g, heavy)
+        assert verdict == "not a spanning forest"
+
+    def test_one_certification_per_distinct_forest(self, graph):
+        from repro.verify import ORACLE_CONFIGS, run_oracle
+
+        cache = RunCache()
+        assert run_oracle(graph, ORACLE_CONFIGS, cache=cache).ok
+        certs = [k for k in cache._memory if k.startswith("cert:")]
+        assert len(certs) == 1  # every configuration's forest is one
 
 
 class TestDeltaTierStats:

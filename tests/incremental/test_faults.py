@@ -80,3 +80,52 @@ class TestFaultInjection:
         two = IncrementalMst(g, config=NO_FALLBACK, cache=cache)
         with pytest.raises(IncrementalError):
             two.apply(batch)
+
+
+class TestAuditMutations:
+    """Each structural corruption of the rooted forest is a typed error.
+
+    ``tri_graph``'s forest is the path 0-1-2, rooted at vertex 0 with
+    ``parent = [0, 0, 1]`` over forest edges ``parent_eid = [-1, 0, 1]``;
+    edge 2 is the non-forest spare.
+    """
+
+    @staticmethod
+    def engine():
+        engine = IncrementalMst(tri_graph(), config=NO_FALLBACK)
+        assert engine._parent.tolist() == [0, 0, 1]
+        assert engine._parent_eid.tolist() == [-1, 0, 1]
+        engine.check_invariants()
+        return engine
+
+    def test_two_cycle_in_parent(self):
+        engine = self.engine()
+        engine._parent[0] = 1  # 0 -> 1 -> 0
+        with pytest.raises(IncrementalError, match="cycle"):
+            engine.check_invariants()
+
+    def test_parent_eid_names_a_non_forest_edge(self):
+        engine = self.engine()
+        engine._parent_eid[1] = 2  # the spare 0-1 edge, not in the forest
+        with pytest.raises(IncrementalError, match="non-forest"):
+            engine.check_invariants()
+
+    def test_two_children_share_one_edge(self):
+        engine = self.engine()
+        engine._parent[2] = 0
+        engine._parent_eid[2] = 0  # vertices 1 and 2 both claim edge 0
+        with pytest.raises(IncrementalError, match="shares"):
+            engine.check_invariants()
+
+    def test_label_differs_from_its_root(self):
+        engine = self.engine()
+        engine._comp[2] = 7
+        with pytest.raises(IncrementalError, match="label"):
+            engine.check_invariants()
+
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_parent_out_of_range(self, bad):
+        engine = self.engine()
+        engine._parent[2] = bad
+        with pytest.raises(IncrementalError, match="out of range"):
+            engine.check_invariants()

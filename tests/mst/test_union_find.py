@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mst import UnionFind, pointer_jump
+from repro.mst.union_find import hook_labels
 
 
 class TestUnionFind:
@@ -54,13 +55,16 @@ class TestUnionFind:
         assert np.array_equal(batch, scalar)
 
     def test_component_labels_consistent(self):
+        # the whole-array labelling partitions like the scalar unions
+        a, b = np.array([0, 3, 7]), np.array([9, 4, 3])
         dsu = UnionFind(10)
-        dsu.union(0, 9)
-        dsu.union(3, 4)
-        labels = dsu.component_labels()
-        assert labels[0] == labels[9]
-        assert labels[3] == labels[4]
-        assert labels[0] != labels[3]
+        for x, y in zip(a.tolist(), b.tolist()):
+            dsu.union(x, y)
+        labels = hook_labels(10, a, b)
+        assert labels.tolist() == [0, 1, 2, 3, 3, 5, 6, 3, 8, 0]
+        for x in range(10):
+            for y in range(10):
+                assert (labels[x] == labels[y]) == dsu.connected(x, y)
 
     def test_zero_elements(self):
         dsu = UnionFind(0)

@@ -79,7 +79,7 @@ class TestUnionFind:
         dsu = UnionFind(n)
         for a, b in unions:
             dsu.union(a % n, b % n)
-        labels = dsu.component_labels()
+        labels = dsu.find_many(np.arange(n))
         assert np.unique(labels).size == dsu.num_components
         # every element's find agrees with its label
         for i in range(n):
