@@ -73,7 +73,7 @@ def sweep_cache_organization(
     III-A's "traditional cache strategy", unbuildable under the
     multi-port constraints but a useful hit-rate reference.  It is on by
     default now that the replay is vectorized (``repro.memory.lru_cache``
-    replays whole access streams set-by-set instead of per element);
+    replays each batch by reuse-window scans instead of per element);
     pass ``include_lru=False`` to drop the row.
     """
     res = ExperimentResult(

@@ -2,13 +2,14 @@
 
 These are the algorithms behind ``SimState._recompute_roots``, the
 Finding Module's segment scan, the RAPE mirror test, the Compressing
-Module commit and the LRU replay, plus the union-find loops that
-``repro.mst`` shares.  The simulator calls them as attributes of this
-module (the binding a wrapper installed here replaces), each inside a
-``kernel.<name>`` section of the run's
-:class:`~repro.core.timing.HostTimers`, which counts and times every
-call.  ``tests/verify/test_kernel_identity.py`` checks each function
-against an independent scalar reference.
+Module commit and the LRU replay (reuse-window scans for LRU stack
+distance, with the root resolution's pointer jumping assigning ways),
+plus the union-find loops that ``repro.mst`` shares.  The simulator
+calls them as attributes of this module (the binding a wrapper
+installed here replaces), each inside a ``kernel.<name>`` section of
+the run's :class:`~repro.core.timing.HostTimers`, which counts and
+times every call.  ``tests/verify/test_kernel_identity.py`` checks each
+function against an independent scalar reference.
 
 Imports from ``repro.core`` are deferred into function bodies: the
 kernels package must be importable mid-way through ``repro.core``'s own
@@ -39,7 +40,11 @@ def resolve_roots(parent):
     O(unresolved · log depth) instead of a full-array sweep per level.
     """
     cur = parent.copy()
-    pending = np.flatnonzero(cur[cur] != cur)
+    return _chase_roots(cur, np.flatnonzero(cur[cur] != cur))
+
+
+def _chase_roots(cur, pending):
+    """Pointer-jump ``cur[pending]`` in place until each reaches a root."""
     while pending.size:
         cur[pending] = cur[cur[pending]]
         sub = cur[pending]
@@ -105,92 +110,130 @@ def kruskal_union(n, u, v, w):
     return chosen, comps, total
 
 
-def lru_replay(ids, tags, stamps, clock, nsets, ways):
-    """Vectorized set-partitioned LRU replay (lockstep rounds).
+#: look-back positions the first scan pass covers for every row at once;
+#: the few accesses it leaves open continue in doubling windows
+_FIRST_WINDOW = 16
 
-    Accesses are grouped by set (stable ``argsort``) and each set's
-    stream replays in rounds: round ``r`` applies the ``r``-th access of
-    every active set at once, so the Python loop runs
-    max-stream-length times instead of once per access.  Per-access
-    clocks are assigned in original stream order, making tags, stamps,
-    hit flags and eviction counts byte-identical to the scalar model.
-    Mutates ``tags`` / ``stamps`` in place; returns
-    ``(hits, evictions, clock)``.
+
+def lru_replay(ids, tags, stamps, clock, nsets, ways):
+    """Set-associative LRU replay of one batch by reuse-window scans.
+
+    LRU stack distance (Mattson et al., 1970): an access to a block last
+    touched at ``p`` hits iff fewer than ``ways`` distinct blocks of its
+    set were touched since ``p``; a miss evicts the ``ways``-th most
+    recently touched one.  Each set's accesses follow its current
+    entries in LRU order (``(stamp, way)`` ascending, the scalar
+    model's ``argmin`` order; an empty way is a pseudo block), and each
+    access scans back counting rows whose block is not touched again
+    before it.  Tags, stamps, clock, hit flags and eviction counts are
+    byte-identical to the scalar model (docs/PERFORMANCE.md, hot path
+    1).  Mutates ``tags`` / ``stamps`` in place; returns ``(hits,
+    evictions, clock)``.  An id outside ``[0, 2**31)`` raises
+    ``ValueError``.
     """
     n = ids.shape[0]
     hits = np.empty(n, dtype=bool)
     if n == 0:
         return hits, 0, clock
-    base = clock
-    clock += n
-    set_of = ids % nsets
+    if ids.min() < 0 or ids.max() >= 1 << 31:
+        raise ValueError("lru_replay takes vertex ids in [0, 2**31)")
+
+    # segments: per active set, `ways` seed rows then its accesses
+    set_of = (ids % nsets).astype(np.min_scalar_type(nsets - 1))
     order = np.argsort(set_of, kind="stable")  # keeps in-set order
-    ids_s = ids[order]
-    clk_s = base + 1 + order  # exact scalar per-access clocks
     set_s = set_of[order]
+    is_first = np.empty(n, dtype=bool)
+    is_first[0] = True
+    np.not_equal(set_s[1:], set_s[:-1], out=is_first[1:])
+    first = np.flatnonzero(is_first)
+    active = set_s[first].astype(np.int64)
+    nseg = active.size
+    total = n + nseg * ways  # positions are int32: fine below 2**31 rows
+    seg_start = (first + np.arange(nseg) * ways).astype(np.int32)
+    seg_of = np.cumsum(is_first, dtype=np.int32) - 1  # per sorted access
+    acc_pos = np.arange(n, dtype=np.int32) + (seg_of + 1) * ways
+    lru = np.argsort(stamps[active], axis=1, kind="stable")
+    seed = tags[active[:, None], lru].reshape(-1)
+    np.copyto(seed, np.arange(-seed.size, 0), where=seed < 0)  # pseudo
+    blk = np.empty(total, dtype=np.int64)
+    blk[acc_pos] = ids[order]
+    blk[(seg_start[:, None] + np.arange(ways)).reshape(-1)] = seed
 
-    # per-set segments in the sorted stream
-    k = np.arange(n, dtype=np.int64)
-    is_start = np.empty(n, dtype=bool)
-    is_start[0] = True
-    np.not_equal(set_s[1:], set_s[:-1], out=is_start[1:])
-    seg_start = k[is_start]
-    seg_idx = np.cumsum(is_start) - 1  # owning segment per element
-    counts = np.diff(np.concatenate((seg_start, [n])))
-    # longest streams first so each round's active rows are a prefix
-    by_len = np.argsort(-counts, kind="stable")
-    rank = np.empty(by_len.size, dtype=np.int64)
-    rank[by_len] = np.arange(by_len.size, dtype=np.int64)
-    su = set_s[seg_start][by_len]
-    counts = counts[by_len]
-    num_rows = su.size
-    num_rounds = int(counts[0])
+    # next touch of each row's block: one sort of (block, position)
+    # keys, positions in the low bits (both below 2**31: no overflow)
+    pos = np.arange(total, dtype=np.int32)
+    shift = int(total).bit_length()
+    key = (blk + seed.size) << shift | pos
+    key.sort()
+    by_blk = (key & ((1 << shift) - 1)).astype(np.int32)
+    key >>= shift
+    same = np.flatnonzero(key[1:] == key[:-1])
+    nxt = np.full(total, total, dtype=np.int32)
+    nxt[by_blk[same]] = by_blk[same + 1]
+    prev = np.full(total, -1, dtype=np.int32)
+    prev[by_blk[same + 1]] = by_blk[same]
+    # the scan stops at the previous touch, else before the seeds
+    lim = np.maximum(prev[acc_pos], seg_start[seg_of] - 1)
 
-    # round-major padded layout: element k of the sorted stream lands at
-    # (its in-set position, row of its set), so round r is the
-    # contiguous slice vals[r, :active]
-    row = rank[seg_idx]
-    col = k - seg_start[seg_idx]
-    vals = np.empty((num_rounds, num_rows), dtype=np.int64)
-    vals[col, row] = ids_s
-    clks = np.empty((num_rounds, num_rows), dtype=np.int64)
-    clks[col, row] = clk_s
-    hit_mat = np.empty((num_rounds, num_rows), dtype=bool)
-    # active rows per round (counts descending => prefix); padded cells
-    # sit at inactive rows, so they are never read or written
-    active = np.searchsorted(
-        -counts, -np.arange(num_rounds, dtype=np.int64), side="left"
-    )
+    # first window, every row at once: row i - t counts for row i iff
+    # its gap to its block's next touch exceeds t; `below` counts the
+    # offsets scanned before the count reached `ways` (every offset
+    # below `ways` is, as t offsets count at most t rows)
+    gap = nxt - pos
+    cdt = np.min_scalar_type(max(ways, _FIRST_WINDOW))
+    count = np.zeros(total, dtype=cdt)
+    below = np.full(total, min(ways, _FIRST_WINDOW + 1) - 1, dtype=cdt)
+    for t in range(1, _FIRST_WINDOW + 1):
+        c = count[t:]
+        c += gap[:-t] > t
+        if t >= ways:
+            below[t:] += c < ways
+    reached = count[acc_pos] >= ways
+    vic = np.where(reached, acc_pos - 1 - below[acc_pos], -1)
 
-    wtags = tags[su]  # (active sets, ways) working copies
-    wstamps = stamps[su]
-    ways_n = wtags.shape[1]
-    tags_flat = wtags.reshape(-1)
-    stamps_flat = wstamps.reshape(-1)
-    row_base = np.arange(num_rows, dtype=np.int64) * ways_n
-    cmp_buf = np.empty((num_rows, ways_n), dtype=bool)
-    evictions = 0
-    for r in range(num_rounds):
-        a = active[r]
-        v = vals[r, :a]
-        hit_rows = np.equal(wtags[:a], v[:, None], out=cmp_buf[:a])
-        is_hit = hit_rows.any(axis=1)
-        # hit: refresh the matching way; miss: evict the min-stamp way
-        # (argmax/argmin take the first index, matching the scalar
-        # model's flatnonzero[0] / argmin tie-breaks)
-        way = np.where(
-            is_hit, hit_rows.argmax(axis=1), wstamps[:a].argmin(axis=1)
-        )
-        flat = row_base[:a] + way
-        evictions += int(np.count_nonzero(~is_hit & (tags_flat[flat] >= 0)))
-        tags_flat[flat] = v
-        stamps_flat[flat] = clks[r, :a]
-        hit_mat[r, :a] = is_hit
+    # the rest, in doubling windows, while the next position to scan is
+    # still after the limit
+    todo = np.flatnonzero(~reached & (acc_pos - _FIRST_WINDOW - 1 > lim))
+    row, stop = acc_pos[todo], lim[todo]
+    seen = count[row].astype(np.int32)
+    off = width = _FIRST_WINDOW
+    while todo.size:
+        back = np.arange(off + 1, off + width + 1, dtype=np.int32)
+        live = np.take(nxt, row[:, None] - back, mode="clip") > row[:, None]
+        c = np.cumsum(live, axis=1, dtype=np.int32)
+        c += seen[:, None]
+        done = c[:, -1] >= ways
+        vic[todo[done]] = row[done] - back[np.argmax(c[done] >= ways, axis=1)]
+        keep = ~done & (row - (off + width) - 1 > stop)
+        todo, row, stop = todo[keep], row[keep], stop[keep]
+        seen = c[keep, -1]
+        off += width
+        width *= 2
 
-    tags[su] = wtags
-    stamps[su] = wstamps
-    hits[order] = hit_mat[col, row]
-    return hits, evictions, clock
+    miss = vic > lim  # a victim at or before the previous touch: a hit
+    hits[order] = ~miss
+    evictions = int(np.count_nonzero(blk[vic[miss]] >= 0))
+
+    # ways: a hit keeps the way of its block's previous touch and a miss
+    # takes its victim's; pointer jumping resolves every access to the
+    # seed row at the head of its chain, whose way is known
+    link = pos.copy()
+    link[acc_pos] = np.where(miss, vic, lim)
+    root = _chase_roots(link, acc_pos)
+
+    # final state: the rows no later row touches again or evicts are the
+    # residents, `ways` per segment; each one touched in this batch
+    # rewrites its way
+    evicted = np.zeros(total, dtype=bool)
+    evicted[vic[miss]] = True
+    row = np.flatnonzero((nxt == total) & ~evicted)
+    seg = np.arange(row.size) // ways
+    new = row - seg_start[seg] >= ways
+    row, seg = row[new], seg[new]
+    way = lru[seg, root[row] - seg_start[seg]]
+    tags[active[seg], way] = blk[row]
+    stamps[active[seg], way] = clock + 1 + order[row - (seg + 1) * ways]
+    return hits, evictions, clock + n
 
 
 def fm_scan(external, offsets, seg_id, w, eid, sew):

@@ -15,14 +15,18 @@ reports its hit rate as an upper bound, not a design point.
 
 Two implementations share the model:
 
-* :class:`LRUCache` — the production model.  Accesses are grouped by
-  set (`np.argsort`, stable) and each set's stream is replayed in
-  lockstep *rounds*: round ``r`` applies the ``r``-th access of every
-  active set at once with NumPy ops, so the Python-level loop length is
-  the longest per-set stream, not the total access count.  Per-access
-  clocks are assigned in original stream order, so tags, stamps and the
-  clock are byte-identical to the scalar model (accesses to different
-  sets are independent; only the in-set order matters for behaviour).
+* :class:`LRUCache` — the production model.  Each batch is one call of
+  the :func:`repro.kernels.numpy_impl.lru_replay` kernel, which replays
+  it by LRU stack distance: every access scans back over its set's
+  stream, seeded with the set's current entries, counting distinct
+  blocks; fewer than ``ways`` before its block's previous touch is a
+  hit, and otherwise the ``ways``-th one counted is the victim.  The
+  scans run in vectorized windows over all accesses at once, so the
+  Python-level loop runs O(log longest reuse window) times per batch.
+  Per-access clocks are assigned in original stream order, so tags,
+  stamps and the clock are byte-identical to the scalar model
+  (accesses to different sets are independent; only the in-set order
+  matters for behaviour).
 * :class:`ScalarLRUCache` — the original one-access-at-a-time model,
   retained as the equivalence-test oracle
   (``tests/memory/test_lru_equivalence.py``).
@@ -99,7 +103,7 @@ class LRUCache(_LRUBase):
     """Set-associative LRU over vertex ids (allocate-on-read-and-write).
 
     The replay itself is the :func:`repro.kernels.numpy_impl.lru_replay`
-    kernel (the vectorized lockstep-rounds algorithm); this class keeps
+    kernel (reuse-window scans, one call per batch); this class keeps
     the cache state, statistics and batch API, and times each batch in
     a ``kernel.lru_replay`` section of the run's
     :class:`~repro.core.timing.HostTimers`, exactly like the simulator's

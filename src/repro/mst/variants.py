@@ -49,11 +49,15 @@ def minimax_path_weight(
     The minimax path between two vertices — the path minimizing the
     maximum edge weight — always runs along the minimum spanning forest,
     so each query reduces to a path-maximum on the MST.  Returns ``inf``
-    for pairs in different components.  ``pairs`` is ``(k, 2)`` int.
+    for pairs in different components.  ``pairs`` is ``(k, 2)`` int;
+    a vertex id outside ``[0, n)`` raises ``ValueError``.
     """
     pairs = np.asarray(pairs, dtype=np.int64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("pairs must have shape (k, 2)")
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= graph.num_vertices):
+        raise ValueError(
+            f"pairs must hold vertex ids in [0, {graph.num_vertices})")
     if forest is None:
         forest = kruskal(graph)
     ids = forest.edge_ids

@@ -91,8 +91,13 @@ def exact_forest_weight(graph: CSRGraph, edge_ids: np.ndarray) -> float:
     two identical edge sets always produce bit-identical weights.
     """
     _, _, w = graph.edge_endpoints()
+    return _fsum_ascending(w, edge_ids)
+
+
+def _fsum_ascending(w: np.ndarray, edge_ids: np.ndarray) -> float:
+    """:func:`exact_forest_weight` over an already built weight array."""
     eids = np.sort(np.asarray(edge_ids, dtype=np.int64))
-    return math.fsum(float(w[e]) for e in eids)
+    return math.fsum(w[eids].tolist())
 
 
 @dataclass(frozen=True)
@@ -211,13 +216,18 @@ def _compare(
 
 
 def _entry(
-    graph: CSRGraph, name: str, kind: str, result: MSTResult
+    name: str, kind: str, result: MSTResult, weights: dict, w: np.ndarray
 ) -> OracleEntry:
+    """One normalized entry; ``weights`` memoizes the exact weight per
+    distinct forest (most entries of one graph share the canonical one)."""
+    forest = result.edge_ids.tobytes()  # MSTResult already sorts ascending
+    if forest not in weights:
+        weights[forest] = _fsum_ascending(w, result.edge_ids)
     return OracleEntry(
         name=name,
         kind=kind,
-        edge_ids=result.edge_ids,  # MSTResult already sorts ascending
-        exact_weight=exact_forest_weight(graph, result.edge_ids),
+        edge_ids=result.edge_ids,
+        exact_weight=weights[forest],
         claimed_weight=float(result.total_weight),
         num_components=int(result.num_components),
         iterations=int(result.iterations),
@@ -412,8 +422,10 @@ def run_oracle(
         num_edges=graph.num_edges,
         canonical=canonical,
     )
+    _, _, w = graph.edge_endpoints()
+    weights: dict[bytes, float] = {}
     for name, result in ref_results.items():
-        report.entries[name] = _entry(graph, name, "reference", result)
+        report.entries[name] = _entry(name, "reference", result, weights, w)
     base = report.entries[canonical]
 
     ref_iter_comps = [
@@ -423,7 +435,7 @@ def run_oracle(
 
     for label, (result, _, _) in sim_payloads.items():
         name = f"sim:{label}"
-        report.entries[name] = _entry(graph, name, "simulator", result)
+        report.entries[name] = _entry(name, "simulator", result, weights, w)
 
     for name, entry in report.entries.items():
         if name == canonical:

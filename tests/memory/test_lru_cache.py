@@ -64,6 +64,22 @@ class TestBasics:
             LRUCache(10, ways=4)
 
 
+class TestIdRange:
+    @pytest.mark.parametrize("bad", [-1, 1 << 31])
+    def test_ids_outside_the_vertex_range_raise(self, bad):
+        # the replay packs (block, position) into one int64 sort key and
+        # numbers empty ways with negative pseudo ids
+        cache = LRUCache(16, ways=8)
+        with pytest.raises(ValueError, match="vertex ids"):
+            cache.lookup(np.array([3, bad]))
+        assert cache.stats.accesses == 0
+
+    def test_largest_vertex_id_replays(self):
+        cache = LRUCache(16, ways=8)
+        ids = np.array([(1 << 31) - 1, 0, (1 << 31) - 1])
+        np.testing.assert_array_equal(cache.lookup(ids), [False, False, True])
+
+
 class TestMotivation:
     def test_hdv_beats_lru_on_powerlaw_stream(self):
         """Section III-A's claim: the reuse-poor MST access stream defeats

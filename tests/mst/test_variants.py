@@ -68,6 +68,14 @@ class TestMinimaxPath:
         with pytest.raises(ValueError, match="shape"):
             minimax_path_weight(tiny_graph, np.array([0, 1, 2]))
 
+    @pytest.mark.parametrize("pair", [[-1, 0], [0, -3], [3, 0], [0, 7]])
+    def test_out_of_range_ids_raise(self, pair):
+        # 0 -1- 1 -5- 2: a wrapped -1 would read vertex 2's answer (5.0)
+        g = from_edges(3, np.array([0, 1]), np.array([1, 2]),
+                       np.array([1.0, 5.0]))
+        with pytest.raises(ValueError, match="vertex ids"):
+            minimax_path_weight(g, np.array([pair]))
+
     def test_minimax_bounded_by_any_path(self):
         # minimax weight never exceeds the direct edge weight
         g = rmat(7, 5, rng=4)

@@ -1,7 +1,12 @@
 """The oracle harness: agreement on the zoo, detection of wrong oracles."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import AmstConfig
 from repro.graph import from_edges, paper_example, rmat
@@ -146,3 +151,55 @@ class TestPerIterationAgreement:
         # telescope down to the final component count
         entry = report.entries["sim:full"]
         assert entry.num_components == g.num_vertices - entry.edge_ids.size
+
+
+#: weights that stress an exact sum: signed zeros, subnormals, values
+#: whose sums overflow, infinities
+_ADVERSARIAL = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308,
+                     1e308, -1e308, math.inf, -math.inf]),
+    st.floats(allow_nan=False),
+)
+
+
+def _fsum_generator_form(graph, edge_ids):
+    """The original per-element generator sum, kept as the reference."""
+    _, _, w = graph.edge_endpoints()
+    eids = np.sort(np.asarray(edge_ids, dtype=np.int64))
+    return math.fsum(float(w[e]) for e in eids)
+
+
+def _outcome(fn, *args):
+    """Bit pattern of the result, or the exception type it raised."""
+    try:
+        return struct.pack("<d", fn(*args))
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+class TestExactForestWeight:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_generator_form(self, data):
+        w = data.draw(st.lists(_ADVERSARIAL, min_size=1, max_size=12))
+        m = len(w)
+        g = from_edges(m + 1, np.arange(m), np.arange(1, m + 1),
+                       np.array(w), dedup=False)
+        # duplicates and any order: the sum sorts the ids itself
+        ids = np.array(data.draw(st.lists(st.integers(0, m - 1),
+                                          max_size=2 * m)), dtype=np.int64)
+        assert _outcome(exact_forest_weight, g, ids) == _outcome(
+            _fsum_generator_form, g, ids)
+
+    def test_distinct_forests_are_weighed_once_each(self, monkeypatch):
+        from repro.verify import oracle
+
+        calls = []
+        real = oracle._fsum_ascending
+        monkeypatch.setattr(oracle, "_fsum_ascending",
+                            lambda w, ids: calls.append(1) or real(w, ids))
+        report = run_oracle(rmat(6, 5, rng=9), FAST_CONFIGS)
+        assert report.ok, report.format()
+        assert len(report.entries) == len(REFERENCES) + len(FAST_CONFIGS)
+        assert len(calls) == 1  # every entry shares the canonical forest
