@@ -8,9 +8,11 @@ more than ``per_client_limit`` jobs of one client at a time — a noisy
 client queues behind itself, not in front of everyone else.
 
 Every state change goes through :meth:`JobQueue._transition`, which
-enforces the :data:`~repro.serve.protocol.TRANSITIONS` machine and
-appends to the job's history (the ``/events`` stream reads that
-history).  Worker exceptions never escape: a
+enforces the :data:`~repro.serve.protocol.TRANSITIONS` machine, keeps
+the per-state job counts and appends to the job's history (the
+``/events`` stream reads that history).  Admission and
+:meth:`JobQueue.depth` read those counts, so neither walks the jobs
+served so far.  Worker exceptions never escape: a
 :class:`~repro.serve.protocol.ServeError` becomes the job's structured
 error verbatim, anything else becomes ``job_failed`` — the daemon keeps
 serving either way, which is what the fault-injection suite pins down.
@@ -22,6 +24,7 @@ join, and the queue's accounting ends balanced.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 import traceback
@@ -29,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .protocol import (
+    JOB_STATES,
     TERMINAL_STATES,
     ServeError,
     assert_transition,
@@ -54,7 +58,9 @@ class Job:
     started_at: float | None = None
     finished_at: float | None = None
     cache_hit: bool = False
-    result: dict | None = None
+    #: the encoded JSON result; a run job holds its run-cache entry's
+    #: bytes, shared with every other job of that (graph, config)
+    result: bytes | None = None
     error: dict | None = None
     history: list[dict] = field(default_factory=list)
 
@@ -75,6 +81,15 @@ class Job:
             "history": list(self.history),
         }
 
+    def result_body(self) -> bytes:
+        """The ``/result`` reply of a done job: its stored result bytes
+        in the ``{"id", "cache_hit", "result"}`` envelope, byte-identical
+        to ``json.dumps`` of that dict but never re-encoding the result.
+        """
+        return (b'{"id": ' + json.dumps(self.id).encode()
+                + b', "cache_hit": ' + json.dumps(self.cache_hit).encode()
+                + b', "result": ' + self.result + b"}")
+
     @property
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
@@ -86,9 +101,9 @@ class JobQueue:
     Parameters
     ----------
     executor:
-        ``executor(job) -> (result_dict, cache_hit)`` — the daemon's
-        per-kind job body (compute, cache lookup, telemetry).  Called
-        outside the queue lock.
+        ``executor(job) -> (result_bytes, cache_hit)`` — the daemon's
+        per-kind job body (compute, cache lookup, telemetry), returning
+        the job's encoded JSON result.  Called outside the queue lock.
     workers:
         Worker-thread count (the daemon's run concurrency).
     max_depth:
@@ -100,7 +115,7 @@ class JobQueue:
 
     def __init__(
         self,
-        executor: Callable[[Job], tuple[dict, bool]],
+        executor: Callable[[Job], tuple[bytes, bool]],
         *,
         workers: int = 2,
         max_depth: int = 64,
@@ -114,6 +129,7 @@ class JobQueue:
         self._jobs: dict[str, Job] = {}
         self._pending: list[Job] = []  # queued, admission order
         self._running: dict[str, int] = {}  # client -> running count
+        self._states = dict.fromkeys(JOB_STATES, 0)  # state -> jobs
         self._seq = 0
         self._draining = False
         self._stopped = False
@@ -135,7 +151,7 @@ class JobQueue:
             if self._draining or self._stopped:
                 raise ServeError("shutting_down",
                                  "daemon is draining; job rejected")
-            live = sum(1 for j in self._jobs.values() if not j.terminal)
+            live = self._live()
             if live >= self._max_depth:
                 raise ServeError(
                     "queue_full",
@@ -148,6 +164,7 @@ class JobQueue:
             job.history.append({"state": "queued",
                                 "ts": job.submitted_at})
             self._jobs[job.id] = job
+            self._states["queued"] += 1
             self._pending.append(job)
             self._cond.notify_all()
             return job
@@ -206,22 +223,18 @@ class JobQueue:
     def depth(self) -> dict:
         """Queue accounting snapshot (health endpoint + metrics)."""
         with self._lock:
-            states: dict[str, int] = {}
-            for j in self._jobs.values():
-                states[j.state] = states.get(j.state, 0) + 1
-            return {
-                "queued": states.get("queued", 0),
-                "running": states.get("running", 0),
-                "done": states.get("done", 0),
-                "failed": states.get("failed", 0),
-                "cancelled": states.get("cancelled", 0),
-                "total": len(self._jobs),
-            }
+            return {**self._states, "total": len(self._jobs)}
 
     # -- lifecycle (callers hold the lock) -----------------------------
+    def _live(self) -> int:
+        """Jobs admitted and not yet terminal."""
+        return self._states["queued"] + self._states["running"]
+
     def _transition(self, job: Job, new: str,
                     error: dict | None = None) -> None:
         assert_transition(job.state, new)
+        self._states[job.state] -= 1
+        self._states[new] += 1
         job.state = new
         now = time.time()
         if new == "running":
@@ -315,7 +328,7 @@ class JobQueue:
                 for job in list(self._pending):
                     self._pending.remove(job)
                     self._transition(job, "cancelled")
-            while any(not j.terminal for j in self._jobs.values()):
+            while self._live():
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     # drain deadline passed: cancel what never started;

@@ -4,11 +4,17 @@
 describes: graphs are published once into the shared-memory
 :class:`~repro.serve.registry.GraphRegistry` and addressed by content
 fingerprint; run/verify/sweep jobs flow through the prioritized
-:class:`~repro.serve.jobs.JobQueue`; every run-shaped computation
-consults the content-addressed :class:`~repro.bench.runcache.RunCache`
-first, so a warm repeat answers without touching the simulator; and the
-telemetry layer records a per-job run manifest plus a ``serve.*`` metric
+:class:`~repro.serve.jobs.JobQueue`; every run job consults the
+content-addressed :class:`~repro.bench.runcache.RunCache` first, so a
+warm repeat answers without touching the simulator; and the telemetry
+layer records a per-job run manifest plus a ``serve.*`` metric
 namespace exported at ``/v1/metrics`` (Prometheus text).
+
+The run cache keeps what the daemon serves, not the simulator run: one
+:class:`_ServedRun` per ``(graph, config)`` holding the encoded result
+(and, with ``runs_dir``, the run's metrics snapshot for manifests).
+Every job of that pair holds a reference to the same bytes, and the
+``/result`` route wraps them without encoding them again.
 
 The HTTP tier is the stdlib ``ThreadingHTTPServer`` — one thread per
 request, JSON in/out, every failure mapped to the structured error
@@ -99,6 +105,22 @@ class _SingleFlight:
             event = self._inflight.pop(key, None)
         if event is not None:
             event.set()
+
+
+@dataclass(frozen=True)
+class _ServedRun:
+    """The run cache's ``served:`` entry: what the daemon sends again.
+
+    ``body`` is the encoded :func:`_run_payload` JSON.  With
+    ``runs_dir`` set, ``metrics`` is the ``MetricsRegistry.as_dict()``
+    snapshot of ``Telemetry.record_output`` over the run and ``summary``
+    its forest size and weight, so a hit job's manifest carries what
+    the miss's did.  No simulator state outlives the miss.
+    """
+
+    body: bytes
+    metrics: dict | None = None
+    summary: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -318,8 +340,12 @@ class AmstDaemon:
         if kind == "update":
             _parse_update_batch(params)  # shape errors fail at admission
 
-    def _execute_job(self, job: Job) -> tuple[dict, bool]:
-        """Worker body: fault hooks, cache-first compute, telemetry."""
+    def _execute_job(self, job: Job) -> tuple[bytes, bool]:
+        """Worker body: fault hooks, cache-first compute, telemetry.
+
+        Returns the job's encoded JSON result: a run job's comes from
+        its cache entry, every other kind encodes its dict once here.
+        """
         t0 = time.monotonic()
         # resolve first: a job that is already running keeps its graph
         # object even if the fingerprint is evicted mid-flight (the
@@ -327,13 +353,13 @@ class AmstDaemon:
         graph = self.registry.get(job.graph).graph
         self._inject_faults(job)
         if job.kind == "run":
-            payload, hit = self._execute_run(job, graph)
-        elif job.kind == "verify":
-            payload, hit = self._execute_verify(job, graph)
-        elif job.kind == "update":
-            payload, hit = self._execute_update(job, graph)
+            body, hit = self._execute_run(job, graph)
         else:
-            payload, hit = self._execute_sweep(job, graph)
+            execute = {"verify": self._execute_verify,
+                       "update": self._execute_update,
+                       "sweep": self._execute_sweep}[job.kind]
+            payload, hit = execute(job, graph)
+            body = json.dumps(payload).encode()
         seconds = time.monotonic() - t0
         self.metrics.inc("serve.jobs.done")
         if hit:
@@ -342,7 +368,7 @@ class AmstDaemon:
             self.metrics.inc("serve.jobs.computed")
         self.metrics.observe("serve.job.seconds", seconds,
                              buckets=_JOB_SECONDS_BUCKETS)
-        return payload, hit
+        return body, hit
 
     def _inject_faults(self, job: Job) -> None:
         if not self.config.allow_fault_injection:
@@ -361,41 +387,53 @@ class AmstDaemon:
         return cfg.with_(self_check=True) if params.get("self_check") else cfg
 
     def _execute_run(self, job: Job,
-                     graph: CSRGraph) -> tuple[dict, bool]:
+                     graph: CSRGraph) -> tuple[bytes, bool]:
         cfg = self._job_config(job.params)
-        key = f"run:{job.graph}:{config_fingerprint(cfg)}"
+        # not ``run:``: those keys hold whole ``AmstOutput``s for
+        # ``cached_run`` (the oracle behind verify jobs)
+        key = f"served:{job.graph}:{config_fingerprint(cfg)}"
 
-        def compute():
+        def compute() -> _ServedRun:
             from ..bench.executor import TaskSpec, run_task
 
             # route through the executor's task plumbing — the same
             # spec/run_task path every pool surface uses
-            return run_task(TaskSpec(
+            out = run_task(TaskSpec(
                 key=f"serve.{job.id}", fn=_run_job_task,
                 kwargs={"cfg": cfg, "graph": graph}))[0]
+            body = json.dumps(_run_payload(out, cfg)).encode()
+            if not self.config.runs_dir:
+                return _ServedRun(body)
+            # a throwaway bundle on the session's context (no git call):
+            # only its registry is kept, as the manifests' snapshot
+            tel = Telemetry(context=self.telemetry.context)
+            tel.record_output(out)
+            return _ServedRun(body, tel.metrics.as_dict(), {
+                "forest_edges": int(out.result.num_edges),
+                "total_weight": float(out.result.total_weight),
+            })
 
         hit = True
-        out = self.cache.get(key)
-        while out is None:
+        entry = self.cache.get(key)
+        while entry is None:
             event = self._singleflight.leader(key)
             if event is None:
                 # we own the compute for everyone queued on this key
                 try:
                     self.cache.note_miss(key)
-                    out = compute()
-                    self.cache.put(key, out)
+                    entry = compute()
+                    self.cache.put(key, entry)
                 finally:
                     self._singleflight.done(key)
                 hit = False
                 break
             event.wait(timeout=_SINGLEFLIGHT_WAIT_S)
-            out = self.cache.get(key)
-            if out is not None:
+            entry = self.cache.get(key)
+            if entry is not None:
                 self.metrics.inc("serve.singleflight.coalesced")
             # else: the leader failed — loop and take leadership
-        payload = _run_payload(out, cfg)
-        self._record_job_manifest(job, cfg, out)
-        return payload, hit
+        self._record_job_manifest(job, cfg, entry)
+        return entry.body, hit
 
     def _execute_verify(self, job: Job,
                         graph: CSRGraph) -> tuple[dict, bool]:
@@ -510,12 +548,14 @@ class AmstDaemon:
         }, stats.cache_hit
 
     def _record_job_manifest(self, job: Job, cfg: AmstConfig,
-                             out) -> None:
+                             entry: _ServedRun) -> None:
         """Per-job run manifest under ``<runs_dir>/<session>-<job>/``.
 
         Builds a dedicated telemetry bundle (NOT the ambient one — jobs
         run concurrently on worker threads and the ambient slot is
-        process-global) and persists it through the existing RunStore.
+        process-global) from the cache entry's metrics snapshot, so a
+        hit's manifest equals its miss's, and persists it through the
+        existing RunStore.
         """
         if not self.config.runs_dir:
             return
@@ -527,13 +567,12 @@ class AmstDaemon:
             labels={"client": job.client, "job": job.id}))
         with tel.spans.span(f"job:{job.id}", category="run"):
             pass
-        tel.record_output(out)
+        tel.metrics.merge_snapshot(entry.metrics)
         tel.summary = {
             "job": job.id,
             "kind": job.kind,
             "client": job.client,
-            "forest_edges": int(out.result.num_edges),
-            "total_weight": float(out.result.total_weight),
+            **entry.summary,
         }
         run_dir = RunStore(self.config.runs_dir).write(tel)
         self._job_manifests[job.id] = str(run_dir / "manifest.json")
@@ -718,7 +757,9 @@ def _make_handler(daemon: AmstDaemon):
                                  f"request body is not valid JSON: {exc}")
 
         def _send_json(self, status: int, payload: dict) -> None:
-            body = json.dumps(payload).encode()
+            self._send_body(status, json.dumps(payload).encode())
+
+        def _send_body(self, status: int, body: bytes) -> None:
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
@@ -807,9 +848,7 @@ def _make_handler(daemon: AmstDaemon):
             if sub == "result":
                 job = daemon.queue.get(job_id)
                 if job.state == "done":
-                    self._send_json(200, {"id": job.id,
-                                          "cache_hit": job.cache_hit,
-                                          "result": job.result})
+                    self._send_body(200, job.result_body())
                 elif job.terminal:
                     self._send_json(
                         job.error and STATUS_OF(job.error) or 500,

@@ -17,10 +17,13 @@ import threading
 import pytest
 
 from repro.bench.datasets import load
+from repro.core import Amst
 from repro.graph.shm import owned_segments
+from repro.obs import Telemetry
+from repro.obs.regress import DEFAULT_SKIP_PREFIXES
 from repro.serve import AmstDaemon, DaemonConfig, ServeClient
 
-from .conftest import assert_run_matches_serial, serial_run
+from .conftest import assert_run_matches_serial, job_config, serial_run
 
 pytestmark = pytest.mark.serve
 
@@ -125,6 +128,46 @@ class TestAcceptance:
             assert session_manifest["summary"]["graphs_published"] == 1
         finally:
             daemon.shutdown(drain=False, timeout=10.0)
+
+
+class TestHitManifests:
+    def test_hit_writes_the_manifest_its_miss_wrote(self, make_daemon,
+                                                     client_for, tmp_path):
+        """A cache hit's manifest carries the metrics and summary of the
+        simulator run its miss recorded, not an empty or partial set."""
+        tag, seed, scale = DATASET
+        daemon = make_daemon(runs_dir=str(tmp_path / "runs"))
+        client = client_for(daemon)
+        fp = client.publish(dataset=tag, seed=seed,
+                            scale=scale)["fingerprint"]
+        bodies = [client.run_to_completion(kind="run", graph=fp,
+                                           params=params, timeout_s=120.0)
+                  for params in (PARAMS_A, PARAMS_B, PARAMS_A)]
+        miss, _, hit = bodies
+        assert (miss["cache_hit"], hit["cache_hit"]) == (False, True)
+        assert hit["result"] == miss["result"]
+        m_miss, m_hit = client.manifest(miss["id"]), client.manifest(
+            hit["id"])
+        assert m_hit["metrics"] == m_miss["metrics"]
+        assert m_hit["summary"] == {**m_miss["summary"], "job": hit["id"]}
+        assert m_hit["run"]["config_fingerprint"] == \
+            m_miss["run"]["config_fingerprint"]
+
+        # what Telemetry.record_output writes from the run itself
+        # (wall-clock namespaces aside)
+        tel = Telemetry()
+        tel.record_output(Amst(job_config(PARAMS_A)).run(
+            load(tag, seed=seed, size=scale)))
+
+        def deterministic(metrics: dict) -> dict:
+            return {k: v for k, v in metrics.items()
+                    if not k.startswith(DEFAULT_SKIP_PREFIXES)}
+
+        want = deterministic(tel.metrics.flat())
+        assert want and deterministic(m_hit["metrics"]) == want
+        assert set(m_hit["metrics"]) == set(tel.metrics.flat())
+        assert m_hit["summary"]["forest_edges"] == len(
+            miss["result"]["forest"]["edge_ids"])
 
 
 class TestCliSubprocess:

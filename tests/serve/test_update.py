@@ -11,6 +11,7 @@ delta tier included — surface as ``serve.runcache.*`` gauges on
 """
 
 import hashlib
+import json
 import threading
 import time
 
@@ -180,8 +181,9 @@ class TestSingleFlight:
         b.join(timeout=30.0)
 
         assert len(calls) == 1
-        payload_a, hit_a = outcomes["a"]
-        payload_b, hit_b = outcomes["b"]
+        body_a, hit_a = outcomes["a"]
+        body_b, hit_b = outcomes["b"]
+        payload_a, payload_b = json.loads(body_a), json.loads(body_b)
         assert hit_a is False
         assert hit_b is True
         assert payload_a["forest"]["digest"] == \
@@ -232,7 +234,8 @@ class TestSingleFlight:
         b.join(timeout=60.0)
 
         assert isinstance(errors.get("a"), RuntimeError)
-        payload_b, hit_b = outcomes["b"]
+        body_b, hit_b = outcomes["b"]
+        payload_b = json.loads(body_b)
         assert hit_b is False  # B recomputed as the new leader
         assert payload_b["forest"]["edge_ids"]
 
