@@ -13,9 +13,11 @@ in ``benchmarks/BENCH_perfbench.json`` through ``write_bench_json``::
 Per side the record keeps each metric's median with Q1/Q3, the values
 by seed, the attempted and failed operation counts and the git SHA;
 per metric it counts the pairs each side won (by the ``better``
-direction ``BENCHMARK.json`` declares).  A workload that prints a
-``model `` line also records whether the two sides' lines were equal
-in every pair.  ``--trace-seed`` adds one ``--trace 1`` pair and keeps
+direction ``BENCHMARK.json`` declares) and runs a paired two-sided
+Wilcoxon signed-rank test over the seeds
+(``repro.bench.analysis.stats.wilcoxon_signed_rank``).  A workload
+that prints a ``model `` line also records whether the two sides'
+lines were equal in every pair.  ``--trace-seed`` adds one ``--trace 1`` pair and keeps
 its non-zero per-layer metrics.  Records of other workloads already in
 the file are kept, so one file holds every workload's latest pair set.
 Nothing under ``perfbench/`` is imported or changed: each run is a
@@ -126,6 +128,17 @@ def wins(parent_runs, change_runs, metrics):
     return out
 
 
+def wilcoxon(parent_runs, change_runs, metrics):
+    """Per metric, the paired Wilcoxon signed-rank test over the seeds
+    (parent minus change), as ``SignificanceResult.as_dict()``."""
+    from repro.bench.analysis.stats import wilcoxon_signed_rank
+
+    return {m: wilcoxon_signed_rank(
+        [r["metrics"][m]["value"] for r in parent_runs],
+        [r["metrics"][m]["value"] for r in change_runs]).as_dict()
+        for m in metrics}
+
+
 def main(argv=None):
     import argparse
 
@@ -170,6 +183,7 @@ def main(argv=None):
         "sides": {side: summarize(checkouts[side], runs[side], metrics)
                   for side in SIDES},
         "wins": wins(runs["parent"], runs["change"], metrics),
+        "wilcoxon": wilcoxon(runs["parent"], runs["change"], metrics),
     }
     if models_equal:
         record["model_lines_identical"] = all(models_equal)
@@ -196,7 +210,8 @@ def main(argv=None):
         meds = {side: record["sides"][side]["medians"][m]["median"]
                 for side in SIDES}
         print(f"{m}: parent {meds['parent']:.4g} -> change "
-              f"{meds['change']:.4g}; pairs won {tally}", flush=True)
+              f"{meds['change']:.4g}; pairs won {tally}; Wilcoxon "
+              f"p={record['wilcoxon'][m]['p_value']:.3g}", flush=True)
     print(f"wrote {args.out}", flush=True)
     return 0
 

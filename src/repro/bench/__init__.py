@@ -27,9 +27,7 @@ from .runcache import (
     CacheStats,
     RunCache,
     cached_certificate,
-    cached_preprocess,
     cached_reference,
-    cached_run,
     config_fingerprint,
     graph_fingerprint,
     preprocess_options,
@@ -55,9 +53,7 @@ __all__ = [
     "CacheStats",
     "RunCache",
     "cached_certificate",
-    "cached_preprocess",
     "cached_reference",
-    "cached_run",
     "config_fingerprint",
     "graph_fingerprint",
     "preprocess_options",

@@ -1,14 +1,14 @@
 """Content-addressed cache of expensive per-graph computations.
 
-Every multi-run surface repeats work on the *same* graph: the oracle
-harness preprocesses the input once per simulator configuration and runs
-reference Borůvka twice; ``amst verify`` recomputes reference MSTs case
-by case; sweeps re-run identical ``(graph, config)`` points.  This
-module memoizes those computations under **content-addressed** keys —
-nothing is keyed by object identity or generator arguments, only by the
-bytes of the graph and the canonicalized configuration — so a hit is
-*provably* the same computation and the cached value is byte-identical
-to recomputing it.
+Every multi-run surface repeats work on the *same* graph: ``amst
+verify`` recomputes reference MSTs and simulator forests case by case
+and certifies the same forest for every configuration; the serving
+daemon answers identical run jobs; the incremental engine replays
+update streams it has seen.  This module memoizes those computations
+under **content-addressed** keys — nothing is keyed by object identity
+or generator arguments, only by the bytes of the graph and the
+canonicalized configuration — so a hit is *provably* the same
+computation and the cached value is byte-identical to recomputing it.
 
 Key scheme (see docs/PERFORMANCE.md "Run cache"):
 
@@ -20,8 +20,11 @@ Key scheme (see docs/PERFORMANCE.md "Run cache"):
   dataclass (sorted keys, cycle costs included), hashed.  Any knob that
   could change a run changes the key; *all* knobs are fields, so there
   is no invalidation rule to maintain by hand.
-* domain prefixes (``pre:`` / ``ref:`` / ``run:`` / ``cert:``) keep the
-  value types per key unambiguous.
+* domain prefixes keep the value types per key unambiguous: ``ref:``
+  (reference MST), ``oracle:`` (the oracle's ``(result, per-iteration
+  component counts)`` for one configuration), ``cert:`` (certificate
+  verdict), ``delta:`` (incremental snapshots), ``served:`` (the
+  daemon's encoded run result).
 
 Tiers:
 
@@ -54,7 +57,6 @@ import numpy as np
 
 from ..core.config import AmstConfig
 from ..graph.csr import CSRGraph
-from ..graph.preprocess import PreprocessResult, preprocess
 
 __all__ = [
     "RunCache",
@@ -63,9 +65,7 @@ __all__ = [
     "config_fingerprint",
     "preprocess_options",
     "cached_certificate",
-    "cached_preprocess",
     "cached_reference",
-    "cached_run",
 ]
 
 
@@ -285,7 +285,7 @@ class RunCache:
         """Drop every memory-tier entry derived from one graph.
 
         Keys embed the graph fingerprint as a ``:``-separated component
-        (``run:<graph_fp>:<cfg_fp>`` etc.), so membership is exact, not
+        (``oracle:<graph_fp>:<cfg_fp>`` etc.), so membership is exact, not
         substring-fuzzy.  The serving daemon calls this on graph
         eviction; the disk tier is content-addressed and shared across
         processes, so it is deliberately left alone.  Returns the
@@ -300,72 +300,24 @@ class RunCache:
 
 
 # ----------------------------------------------------------------------
-# Domain helpers — the three computations the multi-run stack repeats
+# Domain helpers — the computations the multi-run stack repeats
 # ----------------------------------------------------------------------
-def cached_preprocess(
-    graph: CSRGraph,
-    *,
-    reorder: str,
-    sort_edges_by_weight: bool,
-    cache: RunCache | None = None,
-    graph_fp: str | None = None,
-) -> PreprocessResult:
-    """Memoized :func:`~repro.graph.preprocess.preprocess`.
-
-    The cached value's wall-clock fields reflect the *original* pass:
-    ``reorder_seconds`` times the reorder permutation alone and
-    ``sort_seconds`` the one sort that relabels and edge-sorts the
-    graph.  Callers that time preprocessing must bypass the cache (Table
-    II times its relabel and edge sort directly); everything behavioural
-    (the reordered, edge-sorted graph) is deterministic and identical.
-    """
-    if cache is None:
-        return preprocess(graph, reorder=reorder,
-                          sort_edges_by_weight=sort_edges_by_weight)
-    fp = graph_fp or graph_fingerprint(graph)
-    key = f"pre:{fp}:{reorder}:{int(sort_edges_by_weight)}"
-    return cache.get_or_compute(key, lambda: preprocess(
-        graph, reorder=reorder, sort_edges_by_weight=sort_edges_by_weight))
-
-
 def cached_reference(
     graph: CSRGraph,
     name: str,
     algo: Callable[[CSRGraph], object],
     *,
     cache: RunCache | None = None,
-    graph_fp: str | None = None,
 ):
-    """Memoized reference MST run (Kruskal/Prim/Borůvka/Filter-Kruskal)."""
+    """Memoized reference MST run (Kruskal/Prim/Borůvka/Filter-Kruskal).
+
+    The ``ref:<graph fp>:<name>`` key is the one the oracle reads and
+    writes, so a forest either of them computed serves the other.
+    """
     if cache is None:
         return algo(graph)
-    fp = graph_fp or graph_fingerprint(graph)
-    return cache.get_or_compute(f"ref:{fp}:{name}", lambda: algo(graph))
-
-
-def cached_run(
-    graph: CSRGraph,
-    cfg: AmstConfig,
-    *,
-    cache: RunCache | None = None,
-    graph_fp: str | None = None,
-    preprocessed: PreprocessResult | None = None,
-):
-    """Memoized full simulator run (``Amst(cfg).run(graph)``).
-
-    Host-timing in ``report.extra`` reflects the original run; every
-    modelled quantity (cycles, traffic, events, the forest) is
-    deterministic, which is what the golden-trace byte-identity tests
-    pin down.
-    """
-    from ..core.accelerator import Amst
-
-    if cache is None:
-        return Amst(cfg).run(graph, preprocessed=preprocessed)
-    fp = graph_fp or graph_fingerprint(graph)
-    key = f"run:{fp}:{config_fingerprint(cfg)}"
-    return cache.get_or_compute(
-        key, lambda: Amst(cfg).run(graph, preprocessed=preprocessed))
+    key = f"ref:{graph_fingerprint(graph)}:{name}"
+    return cache.get_or_compute(key, lambda: algo(graph))
 
 
 def cached_certificate(

@@ -244,11 +244,13 @@ def _cmd_verify_body(args: argparse.Namespace, tel) -> int:
             print(f"blessed {path}")
         return 0
 
-    # Content-addressed run cache: golden cases share graphs (the two
-    # road-* and dup-forest-* pairs), so reference forests and
-    # preprocessing passes computed for one case are reused by the next;
-    # --no-cache recomputes everything (the verdicts are byte-identical
-    # either way — that equality is itself property-tested).
+    # Content-addressed run cache, at every --jobs value: golden cases
+    # share graphs (the two road-* and dup-forest-* pairs), so reference
+    # forests, simulator forests and certificates computed for one case
+    # are reused by the next, and a second invocation on the same
+    # AMST_CACHE_DIR runs nothing; --no-cache recomputes everything (the
+    # verdicts are byte-identical either way — that equality is itself
+    # property-tested).
     cache = None
     if not args.no_cache:
         from .bench.runcache import RunCache

@@ -389,8 +389,8 @@ class AmstDaemon:
     def _execute_run(self, job: Job,
                      graph: CSRGraph) -> tuple[bytes, bool]:
         cfg = self._job_config(job.params)
-        # not ``run:``: those keys hold whole ``AmstOutput``s for
-        # ``cached_run`` (the oracle behind verify jobs)
+        # its own prefix: a value is the encoded body, not the oracle's
+        # ``oracle:`` payload for the same (graph, config)
         key = f"served:{job.graph}:{config_fingerprint(cfg)}"
 
         def compute() -> _ServedRun:
@@ -439,11 +439,12 @@ class AmstDaemon:
                         graph: CSRGraph) -> tuple[dict, bool]:
         from ..verify import run_oracle
 
-        before = self.cache.stats()["hits"]
         report = run_oracle(
             graph, cache=self.cache,
             certify=bool(job.params.get("certify", True)))
-        hit = self.cache.stats()["hits"] > before
+        # this call's own count: the daemon-wide hit counter also moves
+        # for certificates and for other jobs running concurrently
+        hit = report.tasks_run == 0
         payload = {
             "ok": report.ok,
             "num_vertices": report.num_vertices,

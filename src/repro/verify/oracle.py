@@ -22,6 +22,13 @@ on the *same* graph, then cross-checks:
   BFS roots them, path maxima come from one lockstep climb), which
   calls no MST algorithm and is independent of every oracle.
 
+The inputs take one path, :func:`_oracle_inputs`: run-cache hits are
+read in the parent, and the misses run as one
+:func:`~repro.bench.executor.execute` task list, inline or on a
+process pool.  The cache keeps only what the checks read: reference
+results, each configuration's forest with its per-iteration component
+counts, and certificate verdicts.
+
 Disagreements are collected into a structured
 :class:`OracleReport` whose :meth:`~OracleReport.format` prints a
 per-implementation diff (edges only in one forest, with endpoints and
@@ -38,6 +45,7 @@ import numpy as np
 
 from ..core import Amst, AmstConfig
 from ..graph.csr import CSRGraph
+from ..graph.preprocess import preprocess
 from ..obs.context import current_telemetry
 from ..mst import boruvka, filter_kruskal, kruskal, prim
 from ..mst.result import MSTResult
@@ -127,13 +135,18 @@ class OracleMismatch:
 
 @dataclass
 class OracleReport:
-    """Structured outcome of one differential run."""
+    """Structured outcome of one differential run.
+
+    ``tasks_run`` counts the reference and simulator tasks the call ran;
+    0 means the run cache answered every one of them.
+    """
 
     num_vertices: int
     num_edges: int
     canonical: str
     entries: dict[str, OracleEntry] = field(default_factory=dict)
     mismatches: list[OracleMismatch] = field(default_factory=list)
+    tasks_run: int = 0
 
     @property
     def ok(self) -> bool:
@@ -244,119 +257,95 @@ def _sim_components_per_iteration(out) -> list[int]:
     return counts
 
 
-def _oracle_ref_task(algo, graph) -> tuple:
-    """Worker body: one reference MST over the shared graph."""
+def _reference_task(algo, graph) -> tuple:
+    """Task body: one reference MST over the graph or its shm handle."""
     from ..graph.shm import resolve_graph
 
     return (algo(resolve_graph(graph)),)
 
 
-def _oracle_sim_task(cfg: AmstConfig, graph, certify: bool) -> tuple:
-    """Worker body: one simulator run plus its derived check inputs.
+def _simulator_task(cfgs: list[AmstConfig], graph) -> tuple:
+    """Task body: simulator runs that share one preprocessing pass.
 
-    Returns a small ``(result, sim_comps, cert_error)`` payload instead
-    of the whole :class:`AmstOutput`, so only the forest travels back
-    through the pool.
+    Every configuration in ``cfgs`` implies the same
+    :func:`~repro.bench.runcache.preprocess_options`, so one
+    :func:`preprocess` call serves them all.  Each run yields only what
+    the oracle checks, a ``(result, per-iteration component counts)``
+    payload: no whole :class:`~repro.core.AmstOutput` crosses the pool
+    or enters the run cache.
     """
-    from ..bench.runcache import cached_certificate
+    from ..bench.runcache import preprocess_options
     from ..graph.shm import resolve_graph
 
     g = resolve_graph(graph)
-    out = Amst(cfg).run(g)
-    cert_error = (cached_certificate(g, out.result.edge_ids)
-                  if certify else None)
-    return ((out.result, _sim_components_per_iteration(out), cert_error),)
+    reorder, sew = preprocess_options(cfgs[0])
+    pre = preprocess(g, reorder=reorder, sort_edges_by_weight=sew)
+    payloads = []
+    for cfg in cfgs:
+        out = Amst(cfg).run(g, preprocessed=pre)
+        payloads.append((out.result, _sim_components_per_iteration(out)))
+    return tuple(payloads)
 
 
-def _serial_runs(graph, references, configs, certify, cache):
-    """Compute every oracle input in-process (optionally cached).
+def _oracle_inputs(graph, references, configs, cache, fp, jobs):
+    """Every reference result and simulator payload the report needs.
 
-    Simulator configurations that imply the same preprocessing — same
-    reordering strategy and SEW setting — share one preprocessing pass
-    (the default five configs need three passes, not five); with a
-    :class:`~repro.bench.runcache.RunCache` the passes, the reference
-    forests, whole simulator runs and certification verdicts are
-    memoized across calls under content-addressed keys.
-    """
-    from ..bench.runcache import (
-        cached_certificate,
-        cached_preprocess,
-        cached_reference,
-        cached_run,
-        graph_fingerprint,
-        preprocess_options,
-    )
-
-    fp = graph_fingerprint(graph) if cache is not None else None
-    ref_results = {
-        name: cached_reference(graph, name, algo, cache=cache, graph_fp=fp)
-        for name, algo in references.items()
-    }
-    if "boruvka" in ref_results:
-        ref_boruvka = ref_results["boruvka"]
-    else:
-        ref_boruvka = cached_reference(
-            graph, "boruvka", boruvka, cache=cache, graph_fp=fp)
-
-    pre_memo: dict = {}
-
-    def _pre(opts):
-        if opts not in pre_memo:
-            pre_memo[opts] = cached_preprocess(
-                graph, reorder=opts[0], sort_edges_by_weight=opts[1],
-                cache=cache, graph_fp=fp,
-            )
-        return pre_memo[opts]
-
-    sim_payloads = {}
-    for label, cfg in configs.items():
-        out = cached_run(graph, cfg, cache=cache, graph_fp=fp,
-                         preprocessed=_pre(preprocess_options(cfg)))
-        cert_error = (cached_certificate(graph, out.result.edge_ids,
-                                         cache=cache, graph_fp=fp)
-                      if certify else None)
-        sim_payloads[label] = (
-            out.result, _sim_components_per_iteration(out), cert_error)
-    return ref_results, ref_boruvka, sim_payloads
-
-
-def _parallel_runs(graph, references, configs, certify, jobs):
-    """Fan every reference and simulator run across the process pool.
-
-    The graph is published once through the shared-memory store; every
-    worker attaches the same physical CSR arrays (or unpickles the
-    graph on the fallback path).  Collection order is deterministic, so
-    the assembled report is byte-identical to the serial one.
+    Each value has one run-cache key: ``ref:<graph>:<name>`` (reference
+    Borůvka is added when ``references`` lacks it, for the per-iteration
+    component counts) and ``oracle:<graph>:<config>``.  The parent reads
+    the hits; the misses run as one task list through
+    :func:`~repro.bench.executor.execute` — one task per reference, one
+    per group of configurations sharing a preprocessing pass — inline
+    for ``jobs <= 1``, else on the pool with the graph published once
+    through shared memory, and the parent stores what they return.
+    Returns ``(references by name, payloads by label, tasks run)``.
     """
     from ..bench.executor import TaskSpec, execute
+    from ..bench.runcache import config_fingerprint, preprocess_options
     from ..graph.shm import GraphStore
 
-    with GraphStore() as store:
-        shared = store.publish_graph(graph)
-        tasks = [
-            TaskSpec(key=f"oracle.ref.{name}", fn=_oracle_ref_task,
-                     kwargs={"algo": algo, "graph": shared})
-            for name, algo in references.items()
-        ]
-        need_boruvka = "boruvka" not in references
-        if need_boruvka:
-            tasks.append(TaskSpec(
-                key="oracle.ref.boruvka", fn=_oracle_ref_task,
-                kwargs={"algo": boruvka, "graph": shared},
-            ))
-        tasks.extend(
-            TaskSpec(key=f"oracle.sim.{label}", fn=_oracle_sim_task,
-                     kwargs={"cfg": cfg, "graph": shared,
-                             "certify": certify})
-            for label, cfg in configs.items()
-        )
-        groups = execute(tasks, jobs=jobs)
+    refs = {**references, "boruvka": references.get("boruvka", boruvka)}
+    ref_keys = {name: f"ref:{fp}:{name}" for name in refs}
+    sim_keys = {label: f"oracle:{fp}:{config_fingerprint(cfg)}"
+                for label, cfg in configs.items()}
+    values = {}
+    if cache is not None:
+        for key in [*ref_keys.values(), *sim_keys.values()]:
+            value = cache.get(key)
+            if value is not None:
+                values[key] = value
 
-    it = iter(groups)
-    ref_results = {name: next(it)[0] for name in references}
-    ref_boruvka = next(it)[0] if need_boruvka else ref_results["boruvka"]
-    sim_payloads = {label: next(it)[0] for label in configs}
-    return ref_results, ref_boruvka, sim_payloads
+    todo = [name for name, key in ref_keys.items() if key not in values]
+    groups: dict[tuple, dict] = {}  # preprocess options -> key -> label
+    for label, cfg in configs.items():
+        if sim_keys[label] not in values:
+            groups.setdefault(preprocess_options(cfg), {}).setdefault(
+                sim_keys[label], label)
+    task_keys = [[ref_keys[name]] for name in todo]
+    task_keys += [list(group) for group in groups.values()]
+    if task_keys:
+        with GraphStore() as store:
+            shared = (store.publish_graph(graph)
+                      if jobs > 1 and len(task_keys) > 1 else graph)
+            tasks = [TaskSpec(key=f"oracle.ref.{name}", fn=_reference_task,
+                              kwargs={"algo": refs[name], "graph": shared})
+                     for name in todo]
+            tasks += [TaskSpec(
+                key=f"oracle.sim.{'+'.join(group.values())}",
+                fn=_simulator_task,
+                kwargs={"cfgs": [configs[lb] for lb in group.values()],
+                        "graph": shared},
+            ) for group in groups.values()]
+            outputs = execute(tasks, jobs=jobs)
+        for keys, output in zip(task_keys, outputs, strict=True):
+            for key, value in zip(keys, output, strict=True):
+                values[key] = value
+                if cache is not None:
+                    cache.note_miss(key)
+                    cache.put(key, value)
+    return ({name: values[key] for name, key in ref_keys.items()},
+            {label: values[key] for label, key in sim_keys.items()},
+            len(task_keys))
 
 
 def run_oracle(
@@ -381,20 +370,30 @@ def run_oracle(
     references:
         Reference implementations (defaults to :data:`REFERENCES`); the
         first entry — conventionally Kruskal — is the canonical oracle.
+        An empty mapping raises :class:`ValueError`.
     certify:
-        Additionally prove every simulator forest minimal from first
-        principles via the cycle property (O(m·h), h the forest height).
+        Additionally prove every distinct simulator forest minimal from
+        first principles via the cycle property (O(m·h), h the forest
+        height); the parent certifies each forest once.
     cache:
-        Optional :class:`~repro.bench.runcache.RunCache`: memoizes
-        reference forests, preprocessing passes and whole simulator
-        runs under content-addressed keys (serial path only).
+        Optional :class:`~repro.bench.runcache.RunCache`, honoured at
+        every ``jobs`` value: memoizes reference forests (``ref:``),
+        each configuration's forest and per-iteration component counts
+        (``oracle:``) and certification verdicts (``cert:``) under
+        content-addressed keys.
     jobs:
-        ``> 1`` fans every reference and simulator run across a process
-        pool with the graph published via shared memory; the report is
-        byte-identical to ``jobs=1``.
+        ``> 1`` runs the cache misses on a process pool with the graph
+        published via shared memory; the report is byte-identical to
+        ``jobs=1``.
     """
+    from ..bench.runcache import cached_certificate, graph_fingerprint
+
     if references is None:
         references = REFERENCES
+    if not references:
+        raise ValueError(
+            "run_oracle: references is empty; it needs at least one "
+            "implementation (the first is the canonical oracle)")
     if configs is None:
         configs = ORACLE_CONFIGS
     canonical = next(iter(references))
@@ -410,30 +409,36 @@ def run_oracle(
         else nullcontext()
     )
     with oracle_scope:
-        if jobs > 1 and len(references) + len(configs) > 1:
-            ref_results, ref_boruvka, sim_payloads = _parallel_runs(
-                graph, references, configs, certify, jobs)
-        else:
-            ref_results, ref_boruvka, sim_payloads = _serial_runs(
-                graph, references, configs, certify, cache)
+        fp = graph_fingerprint(graph) if cache is not None else None
+        ref_results, sim_payloads, tasks_run = _oracle_inputs(
+            graph, references, configs, cache, fp, jobs)
+        verdicts: dict[bytes, str | None] = {}  # one per distinct forest
+        for result, _ in sim_payloads.values():
+            forest = result.edge_ids.tobytes()
+            if certify and forest not in verdicts:
+                verdicts[forest] = cached_certificate(
+                    graph, result.edge_ids, cache=cache, graph_fp=fp)
 
     report = OracleReport(
         num_vertices=graph.num_vertices,
         num_edges=graph.num_edges,
         canonical=canonical,
+        tasks_run=tasks_run,
     )
     _, _, w = graph.edge_endpoints()
     weights: dict[bytes, float] = {}
-    for name, result in ref_results.items():
-        report.entries[name] = _entry(name, "reference", result, weights, w)
+    for name in references:
+        report.entries[name] = _entry(
+            name, "reference", ref_results[name], weights, w)
     base = report.entries[canonical]
 
+    ref_boruvka = ref_results["boruvka"]
     ref_iter_comps = [
         it.num_components_before
         for it in ref_boruvka.extras["stats"].iterations
     ]
 
-    for label, (result, _, _) in sim_payloads.items():
+    for label, (result, _) in sim_payloads.items():
         name = f"sim:{label}"
         report.entries[name] = _entry(name, "simulator", result, weights, w)
 
@@ -442,7 +447,7 @@ def run_oracle(
             continue
         _compare(graph, base, entry, report.mismatches)
 
-    for label, (_, sim_comps, cert_error) in sim_payloads.items():
+    for label, (result, sim_comps) in sim_payloads.items():
         name = f"sim:{label}"
         entry = report.entries[name]
         if entry.iterations != ref_boruvka.iterations:
@@ -457,6 +462,7 @@ def run_oracle(
                 f"component counts per iteration {sim_comps} != "
                 f"reference {ref_iter_comps}",
             ))
+        cert_error = verdicts.get(result.edge_ids.tobytes())
         if cert_error is not None:
             report.mismatches.append(
                 OracleMismatch(name, "certificate", cert_error)

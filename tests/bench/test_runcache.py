@@ -6,9 +6,7 @@ import pytest
 from repro.bench.runcache import (
     RunCache,
     cached_certificate,
-    cached_preprocess,
     cached_reference,
-    cached_run,
     config_fingerprint,
     graph_fingerprint,
     preprocess_options,
@@ -112,7 +110,7 @@ class TestDiskTier:
         assert fresh.get("key") is None
 
     def test_entry_naming_a_missing_module_is_a_miss(self, tmp_path):
-        # e.g. a run: entry pickled before a module it references was
+        # e.g. an entry pickled before a module it references was
         # deleted: recomputed and overwritten, never a crash
         cache = RunCache(disk_dir=tmp_path)
         cache.put("key", 42)
@@ -132,26 +130,6 @@ class TestDiskTier:
 
 
 class TestDomainHelpers:
-    def test_cached_preprocess_identical_to_direct(self, graph):
-        cache = RunCache()
-        direct = cached_preprocess(graph, reorder="sort",
-                                   sort_edges_by_weight=True, cache=None)
-        warm1 = cached_preprocess(graph, reorder="sort",
-                                  sort_edges_by_weight=True, cache=cache)
-        warm2 = cached_preprocess(graph, reorder="sort",
-                                  sort_edges_by_weight=True, cache=cache)
-        assert warm2 is warm1  # memoized object
-        assert warm1.graph == direct.graph
-
-    def test_preprocess_options_partition_cache_keys(self, graph):
-        cache = RunCache()
-        a = cached_preprocess(graph, reorder="sort",
-                              sort_edges_by_weight=True, cache=cache)
-        b = cached_preprocess(graph, reorder="identity",
-                              sort_edges_by_weight=True, cache=cache)
-        assert a is not b
-        assert cache.stats()["misses"] == 2
-
     def test_cached_reference_identical(self, graph):
         cache = RunCache()
         direct = kruskal(graph)
@@ -161,26 +139,31 @@ class TestDomainHelpers:
         np.testing.assert_array_equal(cached.edge_ids, direct.edge_ids)
         assert cached.total_weight == direct.total_weight
 
-    def test_cached_run_identical(self, graph):
-        cache = RunCache()
-        direct = Amst(CFG).run(graph)
-        warm = cached_run(graph, CFG, cache=cache)
-        again = cached_run(graph, CFG, cache=cache)
-        assert again is warm
-        np.testing.assert_array_equal(warm.result.edge_ids,
-                                      direct.result.edge_ids)
-        assert warm.report.total_cycles == direct.report.total_cycles
-        assert warm.report.dram_blocks == direct.report.dram_blocks
+    def test_cached_reference_reads_the_oracles_entries(self, graph):
+        # the ref: entries the oracle writes are the ones
+        # cached_reference (and so the incremental engine) reads back
+        from repro.verify import run_oracle
 
-    def test_cached_run_distinguishes_configs(self, graph):
         cache = RunCache()
-        a = cached_run(graph, CFG, cache=cache)
-        b = cached_run(graph, CFG.with_(parallelism=8), cache=cache)
-        assert a is not b
+        run_oracle(graph, {}, cache=cache)
+        misses = cache.stats()["misses"]
+        cached = cached_reference(graph, "kruskal", kruskal, cache=cache)
+        assert cache.stats()["misses"] == misses
+        np.testing.assert_array_equal(cached.edge_ids,
+                                      kruskal(graph).edge_ids)
+
+    def test_oracle_entries_distinguish_configs(self, graph):
+        from repro.verify import run_oracle
+
+        cache = RunCache()
+        run_oracle(graph, {"a": CFG, "b": CFG.with_(parallelism=8)},
+                   cache=cache)
+        entries = [k for k in cache._memory if k.startswith("oracle:")]
+        assert len(entries) == 2
 
     def test_cached_certificate_matches_direct(self, graph):
         cache = RunCache()
-        out = cached_run(graph, CFG, cache=cache)
+        out = Amst(CFG).run(graph)
         direct = cached_certificate(graph, out.result.edge_ids)
         warm = cached_certificate(graph, out.result.edge_ids, cache=cache)
         again = cached_certificate(graph, out.result.edge_ids, cache=cache)

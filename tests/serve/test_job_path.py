@@ -95,6 +95,22 @@ class TestRunCacheEntries:
         simulator = (AmstOutput, SimState, PreprocessResult, EventLog)
         assert not [v for v in values if isinstance(v, simulator)]
 
+    def test_verify_job_caches_no_simulator_run(self, daemon):
+        finish(daemon, "verify", {})
+        simulator = (AmstOutput, SimState, PreprocessResult, EventLog)
+        values = [x for v in daemon.cache._memory.values()
+                  for x in (v if isinstance(v, tuple) else (v,))]
+        assert len(values) >= 10  # references, configurations, verdict
+        assert not [v for v in values if isinstance(v, simulator)]
+
+    def test_verify_cache_hit_is_this_jobs_own(self, daemon):
+        cf = daemon.publish_graph(
+            {"dataset": "CF", "seed": 1, "scale": 0.05})["fingerprint"]
+        first = finish(daemon, "verify", {}, graph=cf)
+        second = finish(daemon, "verify", {}, graph=cf)
+        assert (first.cache_hit, second.cache_hit) == (False, True)
+        assert second.result == first.result
+
     def test_hit_shares_the_miss_bytes(self, daemon):
         miss = finish(daemon, "run", RUN)
         hit = finish(daemon, "run", RUN)

@@ -66,6 +66,32 @@ class TestAgreement:
     def test_raise_on_mismatch_passes_silently_when_ok(self):
         run_oracle(paper_example(), FAST_CONFIGS).raise_on_mismatch()
 
+    def test_empty_references_is_a_value_error(self):
+        with pytest.raises(ValueError, match="references"):
+            run_oracle(paper_example(), FAST_CONFIGS, references={})
+
+
+class TestSharedPreprocessing:
+    def test_three_passes_per_graph_for_the_default_configs(
+            self, monkeypatch):
+        # full, direct-cache and lru-cache share the degree-sort SEW
+        # pass; no-hdc and no-pruning need one each
+        from repro.core import accelerator
+        from repro.verify import oracle
+
+        calls = []
+        real = oracle.preprocess
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "preprocess", counted)
+        monkeypatch.setattr(accelerator, "preprocess", counted)
+        for seed in (3, 4):
+            assert run_oracle(rmat(6, 5, rng=seed), ORACLE_CONFIGS).ok
+        assert len(calls) == 2 * 3
+
 
 def _dropped_edge_reference(g):
     """A deliberately wrong 'reference': forgets the heaviest MST edge."""

@@ -8,7 +8,8 @@ the adversarial graph strategies through:
 * ``run_fabric(jobs=N)`` vs serial — identical edge-id sets, weights
   and modelled reports;
 * ``run_oracle(cache=...)`` / ``run_oracle(jobs=N)`` vs plain — the
-  same entries and the byte-identical formatted report;
+  same entries and the byte-identical formatted report, and the pooled
+  oracle reads and fills the run cache like the inline one;
 * golden-trace recomputation with ``jobs=N`` (shared-memory path) vs
   serial — byte-identical JSON.
 
@@ -24,6 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.bench.runcache import RunCache
 from repro.core import AmstConfig
 from repro.fabric import run_fabric
+from repro.graph import rmat
 from repro.verify import run_oracle
 from repro.verify.golden import compute_golden_records, serialize_record
 from repro.verify.strategies import graphs
@@ -105,6 +107,19 @@ class TestOracleCacheIdentity:
         pooled = run_oracle(g, ORACLE_CONFIGS, jobs=2)
         assert pooled.format() == serial.format()
         assert pooled.ok == serial.ok
+
+
+    def test_pooled_oracle_reads_and_fills_the_cache(self):
+        g = rmat(6, 5, rng=4)
+        plain = run_oracle(g, ORACLE_CONFIGS)
+        cache = RunCache()
+        cold = run_oracle(g, ORACLE_CONFIGS, cache=cache, jobs=2)
+        misses = cache.stats()["misses"]
+        warm = run_oracle(g, ORACLE_CONFIGS, cache=cache, jobs=2)
+        assert misses > 0  # the pool's results were stored
+        assert cache.stats()["misses"] == misses
+        assert cold.tasks_run > 0 and warm.tasks_run == 0
+        assert cold.format() == warm.format() == plain.format()
 
 
 class TestGoldenParallelIdentity:
