@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 from .aggregate import (
     MIN_SEEDS,
-    MetricComparison,
     compare_groups,
     group_records,
 )

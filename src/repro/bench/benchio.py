@@ -22,12 +22,11 @@ treats every envelope field as optional.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 from pathlib import Path
 
 from ..obs.context import detect_git_sha
+from ..obs.manifest import write_text_atomic
 
 __all__ = ["BENCH_SCHEMA_VERSION", "bench_envelope", "write_bench_json"]
 
@@ -56,17 +55,6 @@ def write_bench_json(path: str | Path, doc: dict) -> Path:
     """
     path = Path(path)
     payload = {**bench_envelope(), **doc}
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    write_text_atomic(
+        path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return path

@@ -4,7 +4,7 @@ Subcommands::
 
     amst run --dataset RC --parallelism 16      # one accelerator run
     amst run --dataset RC --self-check          # + per-iteration invariants
-    amst run --telemetry --jobs 2               # + recorded run manifest
+    amst run --telemetry --jobs 2 --validate    # + recorded run manifest
     amst bench --experiment fig13 --scale 0.5   # reproduce one exhibit
     amst bench --experiment all                 # reproduce everything
     amst verify                                 # oracle + golden traces
@@ -115,11 +115,12 @@ def _cmd_run_body(args: argparse.Namespace, tel) -> int:
             config_fingerprint=config_fingerprint(cfg),
         )
     reference = None
-    if args.jobs > 1:
+    if args.jobs > 1 and args.validate:
         # The simulator run and the Kruskal reference are independent;
         # fan them over the pool (zero-copy graph hand-off).  The
         # simulated output is byte-identical to the inline path — only
-        # the transport differs.
+        # the transport differs.  Without --validate there is one task,
+        # and a pool would only add a publish and a pickled result.
         from .bench.executor import TaskSpec, execute
         from .graph.shm import GraphStore
 
@@ -801,8 +802,9 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--scale", type=float, default=1.0)
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--jobs", type=int, default=1,
-                    help="worker processes: > 1 runs the simulator and "
-                         "the Kruskal reference as pool tasks")
+                    help="worker processes: > 1 with --validate runs the "
+                         "simulator and the Kruskal reference as pool "
+                         "tasks")
     pr.add_argument("--validate", action="store_true",
                     help="check the forest against Kruskal")
     pr.add_argument("--self-check", action="store_true",

@@ -11,10 +11,9 @@ from __future__ import annotations
 import csv
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
+from ..obs.manifest import write_text_atomic
 from .accelerator import AmstOutput
 from .perf import iteration_cycles
 
@@ -75,29 +74,6 @@ def trace_run(out: AmstOutput) -> list[IterationTrace]:
     return rows
 
 
-def _write_text_atomic(path: str | os.PathLike, text: str,
-                       *, newline: str | None = None) -> None:
-    """Create parent dirs and write via tempfile + rename (atomic).
-
-    A reader (or a concurrent writer racing on the same path) never
-    sees a torn file — the same convention as the run-cache disk tier
-    and the run-manifest store.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="ascii", newline=newline) as fh:
-            fh.write(text)
-        os.replace(tmp, path)  # atomic on POSIX
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def save_trace_csv(
     out: AmstOutput, path: str | os.PathLike
 ) -> list[IterationTrace]:
@@ -116,7 +92,7 @@ def save_trace_csv(
     writer.writeheader()
     for row in rows:
         writer.writerow(asdict(row))
-    _write_text_atomic(path, buf.getvalue(), newline="")
+    write_text_atomic(path, buf.getvalue(), newline="")
     return rows
 
 
@@ -138,7 +114,7 @@ def save_trace_json(
         "summary": out.report.summary(),
         "iterations": [asdict(r) for r in rows],
     }
-    _write_text_atomic(path, json.dumps(payload, indent=2))
+    write_text_atomic(path, json.dumps(payload, indent=2))
     return rows
 
 

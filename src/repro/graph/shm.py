@@ -72,8 +72,7 @@ _COUNTERS = {
 
 
 #: names of segments created by this process's stores and not yet
-#: unlinked — the serving layer's leak accounting rides on this being
-#: empty after every registry eviction / daemon shutdown
+#: unlinked — the leak probe :func:`owned_segments` reads it
 _OWNED: set[str] = set()
 
 
@@ -87,16 +86,10 @@ def owned_segments() -> tuple[str, ...]:
 
     A segment enters on :meth:`GraphStore.publish` and leaves on
     :meth:`GraphStore.close`, so an empty tuple proves no publisher in
-    this process is leaking shared memory (``tests/serve`` asserts this
-    after daemon shutdown).
+    this process is leaking shared memory (the daemon's shutdown reply
+    carries it as ``shm_segments``).
     """
     return tuple(sorted(_OWNED))
-
-
-def _reset_counters() -> None:
-    """Zero the counters (test isolation helper)."""
-    for key in _COUNTERS:
-        _COUNTERS[key] = 0
 
 
 def shm_available() -> bool:
@@ -182,10 +175,6 @@ class GraphStore:
             except (FileNotFoundError, OSError):  # pragma: no cover
                 pass
         self._segments.clear()
-
-    def segment_names(self) -> tuple[str, ...]:
-        """Names of the live segments this store owns."""
-        return tuple(seg.name for seg in self._segments)
 
     # -- publishing ----------------------------------------------------
     def publish(self, *arrays: np.ndarray):

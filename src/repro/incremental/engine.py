@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from ..mst.forest import acyclic_roots, root_forest
 from ..mst.kruskal import kruskal
 from ..mst.result import MSTResult
 from ..obs.context import current_telemetry
-from .dynamic import DynamicGraph, UpdateBatch
+from .dynamic import DynamicGraph, UpdateBatch, _GrowArray
 
 __all__ = [
     "IncrementalConfig",
@@ -160,7 +160,8 @@ class IncrementalMst:
         self.dyn = DynamicGraph(graph)
         self.totals = _Totals()
         n = graph.num_vertices
-        self._in_forest = _GrowBool(self.dyn.total_edges)
+        self._in_forest = _GrowArray(
+            np.zeros(self.dyn.total_edges, dtype=bool))
         self._parent = np.arange(n, dtype=np.int64)
         self._parent_eid = np.full(n, -1, dtype=np.int64)
         self._comp = np.arange(n, dtype=np.int64)
@@ -224,7 +225,7 @@ class IncrementalMst:
             snapshot = self.cache.get(key)
             if snapshot is not None:
                 self.dyn.apply(batch)
-                self._in_forest.grow_to(self.dyn.total_edges)
+                self._extend_forest_mask()
                 self._restore(snapshot)
                 stats.cache_hit = True
             else:
@@ -235,7 +236,7 @@ class IncrementalMst:
                          self.config.fallback_fraction * max(m_before, 1))
             if len(batch) >= budget:
                 self.dyn.apply(batch)
-                self._in_forest.grow_to(self.dyn.total_edges)
+                self._extend_forest_mask()
                 self._full_recompute()
                 stats.fallback = True
             else:
@@ -331,7 +332,7 @@ class IncrementalMst:
                            batch.insert_v.tolist(),
                            batch.insert_w.tolist()):
             internal = dyn.append(u, v, w)
-            self._in_forest.grow_to(dyn.total_edges)
+            self._extend_forest_mask()
             if not fallback:
                 self._insert_edge(internal, u, v, w, stats)
                 fallback = stats.edges_touched >= budget * _TOUCH_SCALE
@@ -390,6 +391,11 @@ class IncrementalMst:
     # ------------------------------------------------------------------
     # Full recompute + structure (re)build
     # ------------------------------------------------------------------
+    def _extend_forest_mask(self) -> None:
+        """Append ``False`` to the forest mask up to the edge ledger."""
+        self._in_forest.append(np.zeros(
+            self.dyn.total_edges - self._in_forest.size, dtype=bool))
+
     def _full_recompute(self) -> None:
         """Forest from scratch via (cached) Kruskal."""
         g = self.dyn.to_csr()
@@ -675,32 +681,6 @@ class IncrementalMst:
             raise IncrementalError(
                 f"no tree path between {u} and {v} in one component")
         return best, len(chain[: depth_at[y]]) + steps
-
-
-class _GrowBool:
-    """Growable boolean mask aligned with the dynamic edge ledger."""
-
-    __slots__ = ("_data", "size")
-
-    def __init__(self, size: int) -> None:
-        self._data = np.zeros(max(size, 16), dtype=bool)
-        self.size = size
-
-    @property
-    def view(self) -> np.ndarray:
-        return self._data[: self.size]
-
-    def grow_to(self, size: int) -> None:
-        if size > self._data.size:
-            cap = self._data.size
-            while cap < size:
-                cap *= 2
-            grown = np.zeros(cap, dtype=bool)
-            grown[: self.size] = self._data[: self.size]
-            self._data = grown
-        if size > self.size:
-            self._data[self.size : size] = False
-        self.size = size
 
 
 #: touched-edge budget multiplier: path walks and cut scans count

@@ -25,43 +25,39 @@ import os
 import tempfile
 from pathlib import Path
 
-__all__ = ["MANIFEST_SCHEMA", "RunStore", "write_json_atomic"]
+__all__ = ["MANIFEST_SCHEMA", "RunStore", "write_json_atomic",
+           "write_text_atomic"]
 
 MANIFEST_SCHEMA = "amst-run-manifest/1"
 
 
-def write_json_atomic(path: Path, payload: dict) -> None:
-    """Serialize ``payload`` to ``path`` via tempfile + rename."""
+def write_text_atomic(path: str | os.PathLike, text: str, *,
+                      newline: str | None = None) -> None:
+    """Write ``text`` (UTF-8) to ``path`` via tempfile + rename.
+
+    Creates parent directories.  A reader, or a writer racing on the
+    same path, never sees a torn file, and on any exception the temp
+    file is removed and ``path`` is left as it was.  ``newline`` is
+    passed to :func:`open` (``""`` for CSV).
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=False)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def _write_text_atomic(path: Path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline=newline) as fh:
             fh.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, path)  # atomic on POSIX
     except BaseException:
         try:
             os.unlink(tmp)
         except OSError:
             pass
         raise
+
+
+def write_json_atomic(path: str | os.PathLike, payload: dict) -> None:
+    """Serialize ``payload`` (``indent=2``) to ``path`` atomically."""
+    write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
 
 
 class RunStore:
@@ -93,7 +89,7 @@ class RunStore:
             },
         }
         write_json_atomic(run_dir / "metrics.json", metrics)
-        _write_text_atomic(
+        write_text_atomic(
             run_dir / "metrics.prom", telemetry.metrics.to_prometheus())
         write_json_atomic(run_dir / "trace.json", trace)
         write_json_atomic(run_dir / "manifest.json", manifest)

@@ -179,9 +179,10 @@ class JobQueue:
             return job
 
     def list(self) -> list[dict]:
+        """Every job's view in ``seq`` order (``_jobs`` keeps admission
+        order: ``submit`` is its only writer)."""
         with self._lock:
-            return [j.view() for j in
-                    sorted(self._jobs.values(), key=lambda j: j.seq)]
+            return [j.view() for j in self._jobs.values()]
 
     def wait(self, job_id: str, timeout: float | None = None) -> Job:
         """Block until the job reaches a terminal state (or timeout)."""
@@ -249,8 +250,7 @@ class JobQueue:
         """Fail every *queued* job addressing an evicted graph.
 
         Running jobs already resolved their graph object and finish
-        normally (the parent-side CSR arrays outlive the segment).
-        Returns the number of jobs failed.
+        normally on it.  Returns the number of jobs failed.
         """
         failed = 0
         with self._cond:

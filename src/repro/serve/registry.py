@@ -1,10 +1,9 @@
 """Graph registry: publish-once, address-by-fingerprint graph storage.
 
-The daemon's registry holds every published graph in the zero-copy
-shared-memory :class:`~repro.graph.shm.GraphStore` — one store (and
-therefore one shm segment) per graph, so eviction unlinks exactly that
-graph's pages while every other published graph stays mapped.  Graphs
-are addressed by their content fingerprint
+The daemon's registry keeps every published graph in-process, once:
+its jobs run on the daemon's own worker threads and read the record's
+:class:`~repro.graph.csr.CSRGraph` in place, so no copy is made for
+another process.  Graphs are addressed by their content fingerprint
 (:func:`~repro.bench.runcache.graph_fingerprint`), which makes
 publication idempotent: re-publishing identical bytes returns the
 existing record, and a fingerprint names *exactly* one graph forever.
@@ -24,7 +23,6 @@ from dataclasses import dataclass, field
 
 from ..bench.runcache import graph_fingerprint
 from ..graph.csr import CSRGraph
-from ..graph.shm import GraphStore
 from .protocol import ServeError
 
 __all__ = ["GraphRecord", "GraphRegistry"]
@@ -32,12 +30,10 @@ __all__ = ["GraphRecord", "GraphRegistry"]
 
 @dataclass
 class GraphRecord:
-    """One published graph: the parent-side object plus its shm home."""
+    """One published graph."""
 
     fingerprint: str
     graph: CSRGraph
-    handle: object  # SharedGraphHandle, or the graph itself on fallback
-    store: GraphStore
     name: str = ""
     published_at: float = field(default_factory=time.time)
     nbytes: int = 0
@@ -49,7 +45,6 @@ class GraphRecord:
             "num_vertices": int(self.graph.num_vertices),
             "num_edges": int(self.graph.num_edges),
             "nbytes": int(self.nbytes),
-            "shm_segments": list(self.store.segment_names()),
         }
 
 
@@ -67,22 +62,19 @@ class GraphRegistry:
         """Publish ``graph``; returns ``(record, reused)``.
 
         Idempotent under content addressing: publishing bytes already in
-        the registry returns the existing record (``reused=True``) and
-        creates no new segment.  Re-publishing an evicted fingerprint
-        clears its tombstone — eviction is not a ban.
+        the registry returns the existing record (``reused=True``).
+        Re-publishing an evicted fingerprint clears its tombstone —
+        eviction is not a ban.
         """
         fp = graph_fingerprint(graph)
         with self._lock:
             existing = self._records.get(fp)
             if existing is not None:
                 return existing, True
-            store = GraphStore()
-            handle = store.publish_graph(graph)
             nbytes = sum(
                 int(a.nbytes) for a in
                 (graph.indptr, graph.dst, graph.weight, graph.eid))
-            record = GraphRecord(fingerprint=fp, graph=graph,
-                                 handle=handle, store=store, name=name,
+            record = GraphRecord(fingerprint=fp, graph=graph, name=name,
                                  nbytes=nbytes)
             self._records[fp] = record
             self._evicted.discard(fp)
@@ -115,7 +107,7 @@ class GraphRegistry:
 
     # -- eviction / shutdown -------------------------------------------
     def evict(self, fingerprint: str) -> dict:
-        """Unlink one graph's segment; tombstone the fingerprint."""
+        """Drop one graph's record; tombstone the fingerprint."""
         with self._lock:
             record = self._records.pop(fingerprint, None)
             if record is None:
@@ -129,22 +121,10 @@ class GraphRegistry:
                     f"graph {fingerprint} has never been published",
                     {"fingerprint": fingerprint})
             self._evicted.add(fingerprint)
-            view = record.view()
-            record.store.close()
-            return view
+            return record.view()
 
     def close(self) -> None:
-        """Evict everything (daemon shutdown); unlinks all segments."""
+        """Evict everything (daemon shutdown)."""
         with self._lock:
-            for record in self._records.values():
-                self._evicted.add(record.fingerprint)
-                record.store.close()
+            self._evicted.update(self._records)
             self._records.clear()
-
-    def active_segments(self) -> tuple[str, ...]:
-        """Every shm segment the registry currently owns (leak probe)."""
-        with self._lock:
-            names: list[str] = []
-            for record in self._records.values():
-                names.extend(record.store.segment_names())
-            return tuple(names)

@@ -1,7 +1,7 @@
 """The AMST daemon: HTTP front-end over registry + queue + cache.
 
 ``AmstDaemon`` is the long-lived composition the ROADMAP's serving item
-describes: graphs are published once into the shared-memory
+describes: graphs are published once into the in-process
 :class:`~repro.serve.registry.GraphRegistry` and addressed by content
 fingerprint; run/verify/sweep jobs flow through the prioritized
 :class:`~repro.serve.jobs.JobQueue`; every run job consults the
@@ -19,13 +19,13 @@ Every job of that pair holds a reference to the same bytes, and the
 The HTTP tier is the stdlib ``ThreadingHTTPServer`` — one thread per
 request, JSON in/out, every failure mapped to the structured error
 shapes pinned in :mod:`repro.serve.protocol`.  Graceful shutdown stops
-admissions, drains in-flight jobs, unlinks every shm segment and writes
-the session manifest before the listener stops (see docs/SERVING.md).
+admissions, drains in-flight jobs, evicts every graph and writes the
+session manifest before the listener stops (see docs/SERVING.md).
 
-Job execution reuses the existing executor plumbing
-(:func:`repro.bench.executor.run_task` task specs) with the parent-side
-graph object — worker threads share the registry's arrays by reference,
-and the published segment stands ready for pool-mode fan-out.
+Jobs run on the queue's worker threads and call their bodies directly
+(``Amst.run``, ``run_oracle``, the sweep task ``amst sweep`` runs) on
+the registry's graph, shared by reference: the daemon has no second
+process to hand a copy to.
 """
 
 from __future__ import annotations
@@ -40,8 +40,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from ..bench.runcache import RunCache, config_fingerprint
+from ..core.accelerator import Amst
 from ..core.config import AmstConfig
 from ..graph.csr import CSRGraph
+from ..graph.shm import owned_segments
 from ..obs import RunStore, Telemetry
 from ..obs.context import new_run_context
 from .jobs import Job, JobQueue
@@ -75,6 +77,10 @@ _JOB_SECONDS_BUCKETS = (
 
 #: incremental engines kept warm per graph fingerprint (update jobs)
 _MAX_LIVE_ENGINES = 8
+
+#: memory-tier entries of the daemon's run cache (``served:`` bodies,
+#: the oracle's and the incremental engine's entries)
+_CACHE_MEMORY_ENTRIES = 256
 
 #: how long a coalesced run job waits for the in-flight leader before
 #: computing on its own (leader crash insurance, not a normal path)
@@ -133,7 +139,6 @@ class DaemonConfig:
     max_depth: int = 64
     per_client_limit: int = 2
     runs_dir: str | None = None  # per-job manifests when set
-    cache_memory_entries: int = 256
     allow_fault_injection: bool = False  # test harness hook
 
 
@@ -143,8 +148,7 @@ class AmstDaemon:
     def __init__(self, config: DaemonConfig | None = None) -> None:
         self.config = config or DaemonConfig()
         self.registry = GraphRegistry()
-        self.cache = RunCache(
-            max_memory_entries=self.config.cache_memory_entries)
+        self.cache = RunCache(max_memory_entries=_CACHE_MEMORY_ENTRIES)
         self.telemetry = Telemetry(context=new_run_context(
             command="serve"))
         self.metrics = self.telemetry.metrics
@@ -155,7 +159,6 @@ class AmstDaemon:
             per_client_limit=self.config.per_client_limit,
         )
         self.started = time.time()
-        self._job_manifests: dict[str, str] = {}
         self._singleflight = _SingleFlight()
         # warm incremental engines, keyed by current graph fingerprint;
         # updates are serialized under the lock (they mutate the engine)
@@ -203,7 +206,7 @@ class AmstDaemon:
 
     def shutdown(self, *, drain: bool = True,
                  timeout: float = 30.0) -> dict:
-        """Stop admissions, drain jobs, unlink shm, persist the session.
+        """Stop admissions, drain jobs, evict graphs, persist the session.
 
         Idempotent; returns the final accounting the ``/v1/shutdown``
         response carries.
@@ -234,7 +237,7 @@ class AmstDaemon:
                 self.telemetry))
         return {
             "jobs": depth,
-            "shm_segments": list(self.registry.active_segments()),
+            "shm_segments": list(owned_segments()),
             "session_manifest": manifest,
         }
 
@@ -294,7 +297,7 @@ class AmstDaemon:
         return view
 
     def evict_graph(self, fingerprint: str) -> dict:
-        """``DELETE /v1/graphs/{fp}``: fail queued jobs, unlink, purge."""
+        """``DELETE /v1/graphs/{fp}``: fail queued jobs, evict, purge."""
         failed = self.queue.fail_queued_for_graph(fingerprint)
         view = self.registry.evict(fingerprint)
         dropped = self.cache.drop_fingerprint(fingerprint)
@@ -348,8 +351,7 @@ class AmstDaemon:
         """
         t0 = time.monotonic()
         # resolve first: a job that is already running keeps its graph
-        # object even if the fingerprint is evicted mid-flight (the
-        # registry's parent-side arrays outlive the shm segment)
+        # object even if the fingerprint is evicted mid-flight
         graph = self.registry.get(job.graph).graph
         self._inject_faults(job)
         if job.kind == "run":
@@ -394,13 +396,7 @@ class AmstDaemon:
         key = f"served:{job.graph}:{config_fingerprint(cfg)}"
 
         def compute() -> _ServedRun:
-            from ..bench.executor import TaskSpec, run_task
-
-            # route through the executor's task plumbing — the same
-            # spec/run_task path every pool surface uses
-            out = run_task(TaskSpec(
-                key=f"serve.{job.id}", fn=_run_job_task,
-                kwargs={"cfg": cfg, "graph": graph}))[0]
+            out = Amst(cfg).run(graph)
             body = json.dumps(_run_payload(out, cfg)).encode()
             if not self.config.runs_dir:
                 return _ServedRun(body)
@@ -469,20 +465,13 @@ class AmstDaemon:
 
     def _execute_sweep(self, job: Job,
                        graph: CSRGraph) -> tuple[dict, bool]:
-        from ..bench.executor import TaskSpec, derive_task_seed, run_task
-        from ..bench.sweeps import SWEEPS
+        from ..bench.executor import _sweep_task
 
         name = job.params["name"]
-        results = run_task(TaskSpec(
-            key=f"serve.{job.id}", fn=SWEEPS[name],
-            kwargs={
-                "graph": graph,
-                "cache_vertices": int(
-                    job.params.get("cache_vertices", 1 << 19)),
-                "seed": derive_task_seed(
-                    int(job.params.get("seed", 0)), f"sweep.{name}"),
-            }))
-        text = "\n\n".join(r.to_text() for r in results)
+        text = _sweep_task(
+            name, graph=graph,
+            cache_vertices=int(job.params.get("cache_vertices", 1 << 19)),
+            base_seed=int(job.params.get("seed", 0))).to_text()
         return {
             "name": name,
             "text": text,
@@ -561,7 +550,7 @@ class AmstDaemon:
         if not self.config.runs_dir:
             return
         tel = Telemetry(context=new_run_context(
-            run_id=f"{self.telemetry.context.run_id}-{job.id}",
+            run_id=self._job_run_id(job.id),
             command=f"serve:{job.kind}",
             graph_fingerprint=job.graph,
             config_fingerprint=config_fingerprint(cfg),
@@ -575,21 +564,24 @@ class AmstDaemon:
             "client": job.client,
             **entry.summary,
         }
-        run_dir = RunStore(self.config.runs_dir).write(tel)
-        self._job_manifests[job.id] = str(run_dir / "manifest.json")
+        RunStore(self.config.runs_dir).write(tel)
+
+    def _job_run_id(self, job_id: str) -> str:
+        """Run id of a job's manifest: the session's, then the job's."""
+        return f"{self.telemetry.context.run_id}-{job_id}"
 
     def job_manifest(self, job_id: str) -> dict:
-        self.queue.get(job_id)  # 404 on unknown id
-        path = self._job_manifests.get(job_id)
-        if path is None:
+        job = self.queue.get(job_id)  # 404 on unknown id
+        if not (self.config.runs_dir and job.kind == "run"
+                and job.state == "done"):
             raise ServeError(
                 "not_found",
                 f"no manifest recorded for job {job_id!r} "
                 "(daemon started without --runs-dir, job not a run, "
                 "or job not finished)",
                 {"id": job_id})
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        return RunStore(self.config.runs_dir).load_manifest(
+            self._job_run_id(job_id))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -629,16 +621,8 @@ class AmstDaemon:
 
 
 # ----------------------------------------------------------------------
-# Job bodies (module-level: picklable for pool-mode fan-out)
+# Wire shapes
 # ----------------------------------------------------------------------
-def _run_job_task(cfg: AmstConfig, graph) -> tuple:
-    """One simulator run; accepts a shm handle or a plain graph."""
-    from ..core.accelerator import Amst
-    from ..graph.shm import resolve_graph
-
-    return (Amst(cfg).run(resolve_graph(graph)),)
-
-
 def _run_payload(out, cfg: AmstConfig) -> dict:
     """JSON view of one ``AmstOutput`` with a byte-identity digest."""
     r = out.report

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.baselines import run_gunrock, run_mastiff
-from repro.mst import kruskal, validate_mst
+from repro.mst import validate_mst
 
 
 class TestMastiff:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import counted_boruvka
-from repro.mst import kruskal, validate_mst
+from repro.mst import validate_mst
 
 
 @pytest.mark.parametrize("filter_intra", [True, False],

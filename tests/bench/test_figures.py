@@ -4,8 +4,6 @@ Sizes are tiny (size=0.25, 2-3 datasets) so the whole module stays fast;
 the full-scale numbers live in benchmarks/ and EXPERIMENTS.md.
 """
 
-import pytest
-
 from repro.bench import (
     fig3a_stage_breakdown,
     fig3b_neighborhood_overlap,

@@ -6,12 +6,10 @@ per-component minima and identical operation counts — on a fresh state
 and on mid-run states (after k completed iterations).
 """
 
-import copy
-
 import numpy as np
 import pytest
 
-from repro.core import Amst, AmstConfig, SimState
+from repro.core import Amst, AmstConfig
 from repro.core.events import IterationEvents
 from repro.core.finding import run_finding
 from repro.core.fpe_reference import reference_finding_pass

@@ -6,7 +6,6 @@ at the exact mechanism that broke (the RTL-bringup style of testing).
 """
 
 import numpy as np
-import pytest
 
 from repro.core import AmstConfig, SimState
 from repro.core.compressing import run_compressing
@@ -81,7 +80,7 @@ class TestFindingModule:
         run_finding(st, _ev())
         assert st.iv.all()  # every vertex became internal
         ev = _ev()
-        out = run_finding(st, ev)
+        run_finding(st, ev)
         assert ev.get("fm.tasks") == 0
         assert ev.get("fm.iv_skipped") == 3
 

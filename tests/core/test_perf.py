@@ -1,6 +1,5 @@
 """Unit tests for the performance model."""
 
-import numpy as np
 import pytest
 
 from repro.core import Amst, AmstConfig, build_report, fpga_power_watts

@@ -13,7 +13,7 @@ from repro.core import (
     save_trace_json,
     trace_run,
 )
-from repro.graph import rmat, road_lattice
+from repro.graph import road_lattice
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,6 @@
 """Unit tests for connected-component utilities."""
 
 import numpy as np
-import pytest
 
 from repro.graph import (
     component_sizes,
@@ -9,7 +8,6 @@ from repro.graph import (
     from_edges,
     is_connected,
     path_graph,
-    rmat,
     road_lattice,
     to_networkx,
 )

@@ -1,6 +1,5 @@
 """Unit tests for the additional graph families."""
 
-import numpy as np
 import pytest
 
 from repro.graph import barabasi_albert, geometric_graph, watts_strogatz

@@ -30,7 +30,7 @@ class TestBasics:
         c = LRUCache(8, ways=4)  # 2 sets
         evens = np.array([0, 2, 4, 6, 8])  # all set 0
         c.lookup(evens)
-        assert c.lookup(np.array([1]))[0] == False  # set 1 untouched
+        assert not c.lookup(np.array([1]))[0]  # set 1 untouched
         assert c.lookup(np.array([8]))[0]
 
     def test_utilization(self):

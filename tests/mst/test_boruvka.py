@@ -1,10 +1,9 @@
 """Unit tests for the instrumented Borůvka reference."""
 
 import numpy as np
-import pytest
 
-from repro.graph import cycle_graph, paper_example, rmat, road_lattice
-from repro.mst import STAGE_NAMES, boruvka, kruskal, validate_mst
+from repro.graph import cycle_graph, rmat, road_lattice
+from repro.mst import STAGE_NAMES, boruvka, validate_mst
 
 
 class TestCorrectness:

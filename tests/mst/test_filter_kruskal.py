@@ -1,7 +1,6 @@
 """Unit tests for Filter-Kruskal."""
 
 import numpy as np
-import pytest
 
 from repro.graph import erdos_renyi, from_edges, rmat
 from repro.mst import filter_kruskal, kruskal, validate_mst

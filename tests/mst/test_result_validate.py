@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph import from_edges, rmat
+from repro.graph import rmat
 from repro.mst import (
     MSTResult,
     forest_weight,

@@ -2,7 +2,7 @@
 
 Every daemon boots in-process on an ephemeral port (``port=0``) and is
 shut down in fixture teardown, so a failing test can't leak a listener
-or a shm segment into the next one.  ``serial_run`` reproduces exactly
+or worker threads into the next one.  ``serial_run`` reproduces exactly
 the payload the daemon's ``/result`` route builds — byte-identity
 between the two is the core concurrency claim.
 """

@@ -4,8 +4,9 @@ One daemon session: publish a Table I dataset analog → 8 concurrent
 jobs from 2 clients at mixed priorities → every result byte-identical
 to a serial ``amst run`` → warm resubmission served from the RunCache
 (asserted through the ``serve.*`` and ``runcache.*`` metrics) →
-graceful shutdown that drains the queue and leaves **zero** shm
-segments.  Plus a subprocess boot of the real ``amst serve`` CLI.
+graceful shutdown that drains the queue, with **zero** shm segments
+made along the way.  Plus a subprocess boot of the real ``amst serve``
+CLI.
 """
 
 import json
@@ -27,6 +28,9 @@ from .conftest import assert_run_matches_serial, job_config, serial_run
 
 pytestmark = pytest.mark.serve
 
+#: the checkout whose ``src`` the ``amst serve`` subprocess imports
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 DATASET = ("EF", 3, 0.2)  # tag, seed, scale — tiny but non-trivial
 PARAMS_A = {"parallelism": 4, "cache_vertices": 512}
 PARAMS_B = {"parallelism": 16, "cache_vertices": 256}
@@ -35,6 +39,7 @@ PARAMS_B = {"parallelism": 16, "cache_vertices": 256}
 class TestAcceptance:
     def test_full_daemon_lifecycle(self, tmp_path):
         tag, seed, scale = DATASET
+        shm_before = owned_segments()
         daemon = AmstDaemon(DaemonConfig(
             port=0, workers=3, per_client_limit=2,
             runs_dir=str(tmp_path / "runs"))).start()
@@ -46,7 +51,6 @@ class TestAcceptance:
             fp = pub["fingerprint"]
             assert pub["reused"] is False
             assert pub["num_edges"] > 0
-            assert pub["shm_segments"]
             # idempotent republication
             assert client.publish(dataset=tag, seed=seed,
                                   scale=scale)["reused"] is True
@@ -110,15 +114,13 @@ class TestAcceptance:
             assert manifest["metrics"]
 
             # -- graceful shutdown: drained, zero shm, session manifest
-            mine = set(daemon.registry.active_segments())
-            assert mine and mine <= set(owned_segments())
             summary = client.shutdown(drain=True, timeout_s=60.0)
             assert summary["jobs"]["queued"] == 0
             assert summary["jobs"]["running"] == 0
             assert summary["jobs"]["done"] == 9
             assert summary["shm_segments"] == []
-            assert daemon.registry.active_segments() == ()
-            assert not mine & set(owned_segments())
+            assert len(daemon.registry) == 0
+            assert owned_segments() == shm_before
             session = summary["session_manifest"]
             assert session and os.path.isdir(session)
             with open(os.path.join(session, "manifest.json"),
@@ -184,7 +186,7 @@ class TestCliSubprocess:
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve",
              "--port", str(port), "--workers", "2"],
-            cwd="/root/repo", env=env,
+            cwd=REPO_ROOT, env=env,
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
         client = ServeClient(f"http://127.0.0.1:{port}", timeout=120.0)
         try:

@@ -4,7 +4,8 @@ Every other suite that runs a job boots a listener and is ``serve``
 marked; this module drives an :class:`AmstDaemon` that is never
 started — jobs go through ``submit_job`` and ``queue.wait`` — so the
 default test run covers the run cache's entries, the memory a finished
-job keeps, the ``/result`` body and the queue's accounting.
+job keeps, the ``/result`` body, per-job manifests, the queue's
+accounting and that a session makes no shared-memory segment.
 """
 
 import gc
@@ -23,7 +24,7 @@ from repro.graph.preprocess import PreprocessResult
 from repro.graph.shm import owned_segments
 from repro.serve import AmstDaemon, DaemonConfig, JobQueue, ServeError
 
-from .conftest import assert_run_matches_serial, serial_run
+from .conftest import assert_run_matches_serial, edge_payload, serial_run
 
 RUN = {"parallelism": 4, "cache_vertices": 512}
 UPDATE = {"inserts": [[0, 5, 0.125], [3, 9, 0.5]], "deletes": [0, 3]}
@@ -31,17 +32,16 @@ UPDATE = {"inserts": [[0, 5, 0.125], [3, 9, 0.5]], "deletes": [0, 3]}
 
 @pytest.fixture
 def daemon():
-    before = set(owned_segments())
+    before = owned_segments()
     d = AmstDaemon(DaemonConfig())  # never started: no listener
     d.fp = d.publish_graph(
         {"dataset": "RC", "seed": 0, "scale": 0.25})["fingerprint"]
-    assert set(d.registry.active_segments()) - before
+    # the registry keeps the graph in-process: publishing made no segment
+    assert owned_segments() == before
     yield d
     summary = d.shutdown(drain=True, timeout=60.0)
-    # no shm segment the session published (graphs, updated graphs)
-    # outlives it
     assert summary["shm_segments"] == []
-    assert set(owned_segments()) <= before
+    assert owned_segments() == before
 
 
 def finish(daemon, kind: str, params: dict, graph: str | None = None):
@@ -144,6 +144,60 @@ class TestResultBody:
                 "cache_hit": job.cache_hit,
                 "result": json.loads(job.result),
             }).encode(), job.kind
+
+
+class TestNoSharedMemory:
+    def test_session_makes_no_segment(self):
+        """Every job kind, an updated graph and its eviction: the
+        process's segment ledger never moves."""
+        before = owned_segments()
+        d = AmstDaemon(DaemonConfig())  # never started: no listener
+        ledger = []
+
+        def step(kind, params, graph):
+            job = finish(d, kind, params, graph=graph)
+            ledger.append(owned_segments())
+            return job
+
+        try:
+            cf = d.publish_graph(
+                {"dataset": "CF", "seed": 1, "scale": 0.05})["fingerprint"]
+            inline = d.publish_graph(
+                {"edges": edge_payload(seed=4)})["fingerprint"]
+            ledger.append(owned_segments())
+            assert [step("run", RUN, inline).cache_hit
+                    for _ in range(2)] == [False, True]
+            update = step("update", UPDATE, inline)
+            chained = json.loads(update.result)["fingerprint"]
+            step("run", RUN, chained)
+            step("verify", {}, cf)
+            step("sweep", {"name": "cache", "cache_vertices": 64}, cf)
+            assert d.evict_graph(chained)["evicted"] is True
+            ledger.append(owned_segments())
+        finally:
+            summary = d.shutdown(drain=True, timeout=60.0)
+        assert ledger == [before] * len(ledger)
+        assert summary["shm_segments"] == []
+
+
+class TestJobManifest:
+    def test_manifest_found_for_finished_run_jobs_only(self, tmp_path):
+        d = AmstDaemon(DaemonConfig(runs_dir=str(tmp_path)))
+        try:
+            d.fp = d.publish_graph(
+                {"edges": edge_payload(seed=6)})["fingerprint"]
+            run = finish(d, "run", RUN)
+            verify = finish(d, "verify", {})
+            manifest = d.job_manifest(run.id)
+            assert manifest["run"]["run_id"] == \
+                f"{d.telemetry.context.run_id}-{run.id}"
+            assert manifest["summary"]["job"] == run.id
+            for job_id in (verify.id, "j999999"):
+                with pytest.raises(ServeError) as exc:
+                    d.job_manifest(job_id)
+                assert exc.value.code == "not_found"
+        finally:
+            d.shutdown(drain=True, timeout=60.0)
 
 
 class TestQueueAccounting:

@@ -1,4 +1,4 @@
-"""Registry unit coverage: content addressing, tombstones, shm hygiene."""
+"""Registry unit coverage: content addressing, tombstones, no shm."""
 
 import pytest
 
@@ -11,10 +11,12 @@ from repro.serve.registry import GraphRegistry
 
 @pytest.fixture
 def registry():
+    before = owned_segments()
     reg = GraphRegistry()
     yield reg
     reg.close()
-    assert reg.active_segments() == ()
+    # the registry keeps its graphs in-process: no test made a segment
+    assert owned_segments() == before
 
 
 class TestPublish:
@@ -41,8 +43,6 @@ class TestPublish:
         r2, _ = registry.publish(rmat(6, 6, rng=2))
         assert r1.fingerprint != r2.fingerprint
         assert len(registry) == 2
-        segs = registry.active_segments()
-        assert len(segs) == len(set(segs))
 
     def test_view_shape(self, registry):
         g = rmat(5, 5, rng=3)
@@ -78,14 +78,15 @@ class TestLookup:
 
 
 class TestEviction:
-    def test_evict_unlinks_only_that_segment(self, registry):
+    def test_evict_drops_only_that_graph(self, registry):
         r1, _ = registry.publish(rmat(6, 6, rng=1))
         r2, _ = registry.publish(rmat(6, 6, rng=2))
-        before = set(registry.active_segments())
-        registry.evict(r1.fingerprint)
-        after = set(registry.active_segments())
-        assert after < before
-        assert set(r2.store.segment_names()) <= after
+        view = registry.evict(r1.fingerprint)
+        assert view == r1.view()
+        assert len(registry) == 1
+        assert registry.get(r2.fingerprint) is r2
+        assert [v["fingerprint"] for v in registry.list()] == [
+            r2.fingerprint]
 
     def test_evict_twice_reports_evicted(self, registry):
         record, _ = registry.publish(rmat(6, 6, rng=1))
@@ -109,15 +110,14 @@ class TestEviction:
 
 
 class TestShutdownHygiene:
-    def test_close_releases_every_owned_segment(self):
-        reg = GraphRegistry()
-        reg.publish(rmat(6, 6, rng=1))
-        reg.publish(rmat(6, 6, rng=2))
-        mine = set(reg.active_segments())
-        # the process-wide ownership ledger sees them while live ...
-        assert mine <= set(owned_segments())
-        reg.close()
-        # ... and forgets them all after close: zero leaked shm
-        assert reg.active_segments() == ()
-        assert not mine & set(owned_segments())
-        assert len(reg) == 0
+    def test_close_evicts_everything(self, registry):
+        records = [registry.publish(rmat(6, 6, rng=seed))[0]
+                   for seed in (1, 2)]
+        registry.close()
+        assert len(registry) == 0
+        assert registry.list() == []
+        # every fingerprint is tombstoned, not forgotten
+        for record in records:
+            with pytest.raises(ServeError) as info:
+                registry.get(record.fingerprint)
+            assert info.value.code == "graph_evicted"

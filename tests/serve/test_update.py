@@ -151,15 +151,15 @@ class TestSingleFlight:
         calls = []
         inside = threading.Event()
         release = threading.Event()
-        real = server_mod._run_job_task
+        real = server_mod.Amst.run
 
-        def gated(cfg, graph):
+        def gated(amst, graph, **kwargs):
             calls.append(1)
             inside.set()
             assert release.wait(timeout=30.0)
-            return real(cfg, graph)
+            return real(amst, graph, **kwargs)
 
-        monkeypatch.setattr(server_mod, "_run_job_task", gated)
+        monkeypatch.setattr(server_mod.Amst, "run", gated)
 
         def job(jid, seq):
             return Job(id=jid, kind="run", client="c", priority=0,
@@ -199,17 +199,17 @@ class TestSingleFlight:
 
         state = {"crashed": False}
         inside = threading.Event()
-        real = server_mod._run_job_task
+        real = server_mod.Amst.run
 
-        def flaky(cfg, graph):
+        def flaky(amst, graph, **kwargs):
             if not state["crashed"]:
                 state["crashed"] = True
                 inside.set()
                 time.sleep(0.2)  # let the follower queue up
                 raise RuntimeError("injected leader crash")
-            return real(cfg, graph)
+            return real(amst, graph, **kwargs)
 
-        monkeypatch.setattr(server_mod, "_run_job_task", flaky)
+        monkeypatch.setattr(server_mod.Amst, "run", flaky)
 
         def job(jid, seq):
             return Job(id=jid, kind="run", client="c", priority=0,

@@ -42,6 +42,28 @@ class TestCommands:
                      "--cache-vertices", "128"]) == 0
         assert "MEPS" in capsys.readouterr().out
 
+    def test_run_jobs_without_validate_runs_inline(self, capsys,
+                                                   monkeypatch):
+        """One task needs no pool: no worker, no shm publish, and no
+        Kruskal that only --validate would read."""
+        import repro.bench.executor as executor_mod
+
+        argv = ["run", "--dataset", "EF", "--scale", "0.25",
+                "--parallelism", "4"]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("amst run --jobs 2 used a pool/Kruskal")
+
+        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", forbidden)
+        monkeypatch.setattr("repro.graph.shm.GraphStore.publish",
+                            forbidden)
+        monkeypatch.setattr("repro.mst.kruskal", forbidden)
+        monkeypatch.setattr("repro.cli._kruskal_task", forbidden)
+        assert main(argv + ["--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+
     def test_datasets(self, capsys):
         assert main(["datasets", "--scale", "0.25"]) == 0
         out = capsys.readouterr().out
@@ -137,8 +159,9 @@ class TestTelemetryCLI:
 
         runs_dir = tmp_path / "runs"
         assert main(["run", "--dataset", "EF", "--scale", "0.25",
-                     "--parallelism", "4", "--jobs", "2", "--telemetry",
-                     "--runs-dir", str(runs_dir), "--run-id", "t2"]) == 0
+                     "--parallelism", "4", "--jobs", "2", "--validate",
+                     "--telemetry", "--runs-dir", str(runs_dir),
+                     "--run-id", "t2"]) == 0
         trace = json.loads((runs_dir / "t2" / "trace.json").read_text())
         pids = {e["pid"] for e in trace["traceEvents"] if e["ph"] == "X"}
         assert len(pids) >= 2

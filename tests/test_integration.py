@@ -84,7 +84,6 @@ class TestPaperShapeClaims:
         a = Amst(cfg).run(g).report
         c = run_mastiff(g, cpu_spec).perf
         u = run_gunrock(g, gpu_spec).perf
-        edges = g.num_edges
         assert a.energy_joules < u.energy_joules < c.energy_joules
 
     def test_hash_cache_helps_dram(self, small_suite):

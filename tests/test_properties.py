@@ -88,7 +88,6 @@ class TestUnionFind:
     @SLOW
     @given(st.lists(st.integers(0, 19), min_size=1, max_size=20))
     def test_pointer_jump_fixpoint(self, raw):
-        n = len(raw)
         parent = np.array([min(p, i) for i, p in enumerate(raw)],
                           dtype=np.int64)  # acyclic: parent <= self
         out = pointer_jump(parent.copy())
@@ -196,7 +195,8 @@ class TestGraphTransforms:
     @SLOW
     @given(random_graphs(max_n=16))
     def test_npz_round_trip_exact(self, g):
-        import tempfile, os
+        import os
+        import tempfile
         from repro.graph import load_npz, save_npz
 
         with tempfile.TemporaryDirectory() as d:
