@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.csr import weight_eid_order
+from ..graph.csr import stable_argsort, weight_eid_order
 from ..kernels import numpy_impl
 from ..memory.hbm import BLOCK_BYTES
 from .events import IterationEvents
@@ -281,7 +281,7 @@ def _commit_minedge(
     # candidates inside one batch all pass the filter and it is the
     # sorting network's job to merge them (Section V-C-2).  The stable
     # sort keeps each component's candidates in stream (= batch) order.
-    by_comp = np.argsort(comp, kind="stable")
+    by_comp = stable_argsort(comp)
     c_s, b_s, r_s = comp[by_comp], by_comp // p, rank[by_comp]
     grp_start = np.ones(m, dtype=bool)
     grp_start[1:] = (c_s[1:] != c_s[:-1]) | (b_s[1:] != b_s[:-1])

@@ -2,8 +2,8 @@
 
 The simulator processes per-vertex CSR segments in bulk; these helpers
 implement the flattened-segment idioms (gather ranges, first-match within
-a segment, segmented running minimum) without Python-level loops, per the
-HPC guide's vectorize-the-inner-loop rule.
+a segment, distinct counts) without Python-level loops, per the HPC
+guide's vectorize-the-inner-loop rule.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ __all__ = [
     "count_distinct",
     "segment_offsets",
     "segment_first",
-    "segmented_prefix_minima_mask",
-    "segmented_count_prefix_minima",
 ]
 
 
@@ -24,9 +22,10 @@ def count_distinct(ids: np.ndarray, upper: int | None = None) -> int:
     """Number of distinct values in ``ids`` (non-negative integers).
 
     Sort-free where sizes allow: scatter into a boolean table of size
-    ``upper`` and count — O(ids + upper) instead of ``np.unique``'s
-    O(ids log ids).  When the value space is much larger than the input
-    (table allocation would dominate), falls back to ``np.unique``.
+    ``upper`` and count — O(ids + upper).  When the value space is much
+    larger than the input (table allocation would dominate), sorts and
+    counts the value changes instead; a plain ``np.unique`` would hash
+    the integers (NumPy >= 2.3), several times slower than either.
     """
     ids = np.asarray(ids)
     if ids.size == 0:
@@ -37,7 +36,8 @@ def count_distinct(ids: np.ndarray, upper: int | None = None) -> int:
         seen = np.zeros(upper, dtype=bool)
         seen[ids] = True
         return int(np.count_nonzero(seen))
-    return int(np.unique(ids).size)
+    s = np.sort(ids, axis=None)
+    return 1 + int(np.count_nonzero(s[1:] != s[:-1]))
 
 
 def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -96,45 +96,3 @@ def segment_first(mask: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     # a "first" beyond the segment end cannot happen: sentinel values are
     # in-segment indices or n, and n was mapped to the segment end above
     return np.minimum(first, offsets[1:])
-
-
-def segmented_prefix_minima_mask(
-    keys: np.ndarray, group: np.ndarray
-) -> np.ndarray:
-    """Mask of strict prefix minima within each group, in given order.
-
-    ``keys`` are int64 totally-ordered keys (e.g. global ranks) and
-    ``group`` the group id of each element; elements of a group appear in
-    arrival order.  Position ``i`` is marked when it improves on every
-    earlier position of its group — exactly the candidates an ``me_p``
-    filter forwards and a read-modify-write MinEdge writer commits.
-    """
-    keys = np.asarray(keys, dtype=np.int64)
-    group = np.asarray(group, dtype=np.int64)
-    if keys.shape != group.shape:
-        raise ValueError("keys and group must have the same shape")
-    n = keys.size
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    order = np.argsort(group, kind="stable")  # stable keeps arrival order
-    g = group[order]
-    k = keys[order]
-    starts = np.ones(n, dtype=bool)
-    starts[1:] = g[1:] != g[:-1]
-    seg_id = np.cumsum(starts) - 1
-    # Exact segmented running-min via decreasing int64 offsets per segment.
-    span = int(k.max() - k.min()) + 1
-    shifted = (k - k.min()) - seg_id * np.int64(span)
-    run = np.minimum.accumulate(shifted)
-    improved = np.empty(n, dtype=bool)
-    improved[0] = True
-    improved[1:] = shifted[1:] < run[:-1]
-    improved |= starts  # first of each segment always improves (vs +inf)
-    out = np.zeros(n, dtype=bool)
-    out[order] = improved
-    return out
-
-
-def segmented_count_prefix_minima(keys: np.ndarray, group: np.ndarray) -> int:
-    """Count of :func:`segmented_prefix_minima_mask` positions."""
-    return int(np.count_nonzero(segmented_prefix_minima_mask(keys, group)))

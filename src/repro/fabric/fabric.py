@@ -46,7 +46,7 @@ import numpy as np
 from ..core.accelerator import Amst, AmstOutput
 from ..core.config import AmstConfig
 from ..core.perf import PerfReport
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, stable_argsort, weight_eid_order
 from ..kernels import numpy_impl
 from ..mst.result import MSTResult
 from ..obs.context import current_telemetry
@@ -91,14 +91,14 @@ def _round_forests(
     sizes = [g.size for g in groups]
     owner = np.repeat(np.arange(len(groups), dtype=np.int64), sizes)
     eids = np.concatenate(groups).astype(np.int64, copy=False)
-    order = np.lexsort((eids, w[eids]))
+    order = weight_eid_order(w[eids], eids)
     owner, eids = owner[order], eids[order]  # position == rank
     m = eids.size
     base = owner * num_vertices
-    verts, ends = np.unique(np.concatenate([base + u[eids], base + v[eids]]),
-                            return_inverse=True)
+    ends, num_verts = _compact(np.concatenate([base + u[eids],
+                                               base + v[eids]]))
     a, b = ends[:m], ends[m:]
-    comp = np.arange(verts.size, dtype=np.int64)
+    comp = np.arange(num_verts, dtype=np.int64)
     kept = np.zeros(m, dtype=bool)
     live = np.flatnonzero(a != b)
     while live.size:
@@ -119,10 +119,27 @@ def _round_forests(
         hook = (best[other] != pick) | (roots > other)
         comp[roots[hook]] = other[hook]
         comp = numpy_impl.resolve_roots(comp)
+    # group the kept ids: one sort of the packed (owner, id) key
     owner, eids = owner[kept], eids[kept]
-    order = np.lexsort((eids, owner))
+    span = max(u.size, 1)
+    packed = np.sort(owner * span + eids)
     bounds = np.cumsum(np.bincount(owner, minlength=len(groups)))[:-1]
-    return np.split(eids[order], bounds)
+    return np.split(packed % span, bounds)
+
+
+def _compact(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(labels, k)``: each key's rank among its ``k`` distinct values,
+    the inverse that ``np.unique(keys, return_inverse=True)`` returns."""
+    if keys.size == 0:
+        return keys, 0
+    order = stable_argsort(keys)
+    s = keys[order]
+    rank = np.zeros(s.size, dtype=np.int64)
+    np.not_equal(s[1:], s[:-1], out=rank[1:])
+    np.cumsum(rank, out=rank)
+    labels = np.empty_like(rank)
+    labels[order] = rank
+    return labels, int(rank[-1]) + 1
 
 
 def _reduce_rounds(
@@ -140,6 +157,8 @@ def _reduce_rounds(
     round are solved by a single :func:`_round_forests` call.
     """
     forests = list(msf_eids)
+    cut = vertex_card[u] != vertex_card[v]
+    sent = np.zeros(u.size, dtype=bool)  # marks one sender's edges
     rounds: list[SyncRound] = []
     stride, level = 1, 0
     while stride < num_cards:
@@ -151,10 +170,10 @@ def _reduce_rounds(
         messages = []
         for (lo, hi), forest in zip(pairs, merged):
             sender = forests[hi]
-            boundary = int((vertex_card[u[sender]]
-                            != vertex_card[v[sender]]).sum())
-            absorbed = int(np.isin(forest, sender,
-                                   assume_unique=True).sum())
+            boundary = int(np.count_nonzero(cut[sender]))
+            sent[sender] = True
+            absorbed = int(np.count_nonzero(sent[forest]))
+            sent[sender] = False
             messages.append(ForestShard(
                 src=hi, dst=lo, records=int(sender.size) - boundary))
             if boundary:
@@ -289,7 +308,8 @@ def run_fabric(
     # (the same composable-edge-set path the oracle verifies), keeping
     # merge-phase compute modelled in simulator cycles
     with phase("fabric.merge"):
-        merge_eids = np.unique(np.concatenate(local_forests))
+        # the shards partition the edges, so the forests are disjoint
+        merge_eids = np.sort(np.concatenate(local_forests))
         merge_graph = edge_subgraph(graph.num_vertices, u, v, w,
                                     merge_eids)
         merge_out = Amst(cfg).run(merge_graph)

@@ -46,6 +46,9 @@ from typing import Callable
 
 import numpy as np
 
+from ..core.utils import count_distinct
+from ..graph.csr import stable_argsort
+
 __all__ = [
     "PartitionPlan",
     "PartitionStats",
@@ -121,7 +124,7 @@ def shard_slices(
     ``c`` owns ``sorted_eids[bounds[c]:bounds[c + 1]]``.  One
     sort + bincount pass instead of ``num_cards`` boolean sweeps.
     """
-    order = np.argsort(edge_card, kind="stable")
+    order = stable_argsort(edge_card)
     sorted_eids = np.arange(edge_card.size, dtype=np.int64)[order]
     counts = np.bincount(edge_card, minlength=num_cards)
     bounds = np.zeros(num_cards + 1, dtype=np.int64)
@@ -227,11 +230,11 @@ def _compute_stats(
     cut = int((vertex_card[u] != vertex_card[v]).sum()) if m else 0
     # replication: distinct (vertex, card) incidences per touched vertex
     if m:
-        pairs = np.unique(np.concatenate([
+        pairs = count_distinct(np.concatenate([
             u * num_cards + edge_card, v * num_cards + edge_card,
-        ]))
-        touched = np.unique(np.concatenate([u, v])).size
-        replication = pairs.size / touched
+        ]), num_vertices * num_cards)
+        touched = count_distinct(np.concatenate([u, v]), num_vertices)
+        replication = pairs / touched
     else:
         replication = 0.0
     return PartitionStats(
@@ -256,18 +259,28 @@ def plan_edges(
 
     ``u``/``v`` are the per-undirected-edge endpoint arrays from
     :meth:`~repro.graph.csr.CSRGraph.edge_endpoints` (``u <= v``).
+    The partitioner must return one card id per edge and one per
+    vertex, each in ``[0, num_cards)``; anything else raises
+    ``ValueError`` naming it, since a short ``edge_card`` would drop
+    edges from every shard without the forest cross-check noticing.
     """
     num_cards = validate_num_cards(num_cards)
     fn = get_partitioner(partitioner)
     edge_card, vertex_card, meta = fn(num_vertices, u, v, num_cards)
     edge_card = np.asarray(edge_card, dtype=np.int64)
     vertex_card = np.asarray(vertex_card, dtype=np.int64)
-    if edge_card.size and (
-        edge_card.min() < 0 or edge_card.max() >= num_cards
-    ):
-        raise ValueError(
-            f"partitioner {partitioner!r} produced an out-of-range card id"
-        )
+    for name, cards, size in (("edge_card", edge_card, u.size),
+                              ("vertex_card", vertex_card, num_vertices)):
+        if cards.shape != (size,):
+            raise ValueError(
+                f"partitioner {partitioner!r} returned {name} of shape "
+                f"{cards.shape}, expected ({size},)"
+            )
+        if size and (cards.min() < 0 or cards.max() >= num_cards):
+            raise ValueError(
+                f"partitioner {partitioner!r} produced an out-of-range "
+                f"card id in {name}"
+            )
     return PartitionPlan(
         name=partitioner,
         num_cards=num_cards,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .csr import CSRGraph
+from .csr import CSRGraph, stable_argsort
 
 __all__ = [
     "from_edges",
@@ -113,7 +113,7 @@ def from_arrays(
     dst = np.concatenate([v, u])
     ww = np.concatenate([w, w])
     ee = np.concatenate([eid, eid])
-    order = np.argsort(src, kind="stable")
+    order = stable_argsort(src)
     indptr = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=num_vertices), out=indptr[1:])
     return CSRGraph(indptr, dst[order], ww[order], ee[order])

@@ -18,16 +18,53 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["CSRGraph", "weight_eid_order"]
+__all__ = ["CSRGraph", "stable_argsort", "weight_eid_order"]
 
 #: the arrays a graph is made of, in constructor order
 _ARRAYS = ("indptr", "dst", "weight", "eid")
+
+#: stable_argsort packs the index this many at a time, so it needs no
+#: second n-sized array (a daemon's peak RSS follows such temporaries)
+_INDEX_CHUNK = 1 << 16
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
+
+
+def stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """Indices that sort integer ``keys`` ascending, equal keys in input
+    order: exactly ``np.argsort(keys, kind="stable")``.
+
+    NumPy's stable sort of 32- and 64-bit integers is a timsort, several
+    times slower than its plain sort on unsorted keys.  Keys already in
+    order return at once.  Otherwise, when ``(key - min) << bits(n)``
+    fits in ``int64``, each key is packed with its index in those low
+    bits; the packed values are unique, so one plain in-place sort puts
+    them in the stable order and the low bits are the answer.  Beside
+    one boolean pass, the only array of size ``n`` this allocates is the
+    result.  Wider keys (and any other array) take NumPy's stable sort.
+    """
+    keys = np.asarray(keys)
+    n = keys.size
+    if n < 2 or keys.ndim != 1 or keys.dtype.kind not in "iu":
+        return np.argsort(keys, kind="stable")
+    if (keys[1:] >= keys[:-1]).all():
+        return np.arange(n)
+    lo = keys.min()
+    bits = (n - 1).bit_length()
+    if (int(keys.max()) - int(lo)) >> (63 - bits):  # would pass 2**63 - 1
+        return np.argsort(keys, kind="stable")
+    packed = np.subtract(keys, lo, dtype=np.int64)
+    packed <<= bits
+    for start in range(0, n, _INDEX_CHUNK):
+        stop = min(n, start + _INDEX_CHUNK)
+        packed[start:stop] |= np.arange(start, stop)
+    packed.sort()
+    packed &= (1 << bits) - 1
+    return packed
 
 
 def weight_eid_order(weight: np.ndarray, eid: np.ndarray) -> np.ndarray:
@@ -194,7 +231,7 @@ class CSRGraph:
         n = self.num_vertices
         new_src = perm[self.src_expanded()]
         new_dst = perm[self.dst]
-        order = np.argsort(new_src, kind="stable")
+        order = stable_argsort(new_src)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(new_src, minlength=n), out=indptr[1:])
         return CSRGraph(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csr import CSRGraph
+from .csr import CSRGraph, stable_argsort
 
 __all__ = [
     "ReorderResult",
@@ -83,7 +83,7 @@ def degree_permutation(graph: CSRGraph) -> np.ndarray:
     deg = graph.degrees()
     # argsort ascending on -degree, stable so equal-degree vertices keep
     # their original relative order.
-    order = np.argsort(-deg, kind="stable")
+    order = stable_argsort(-deg)
     perm = np.empty(graph.num_vertices, dtype=np.int64)
     perm[order] = np.arange(graph.num_vertices, dtype=np.int64)
     return perm
@@ -109,7 +109,7 @@ def dbg_permutation(graph: CSRGraph, num_groups: int = 8) -> np.ndarray:
         level = np.floor(np.log2(np.maximum(deg, 1e-12) / avg)).astype(np.int64)
     level = np.clip(level + 1, 0, num_groups - 1)  # <avg -> 0, hottest high
     hotness = (num_groups - 1) - level  # 0 = hottest bin for the sort below
-    order = np.argsort(hotness, kind="stable")
+    order = stable_argsort(hotness)
     perm = np.empty(n, dtype=np.int64)
     perm[order] = np.arange(n, dtype=np.int64)
     return perm

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..graph.csr import stable_argsort
 from .union_find import hook_labels
 
 __all__ = ["root_forest", "path_max_edge", "acyclic_roots"]
@@ -41,7 +42,7 @@ def root_forest(n: int, a: np.ndarray,
 
     # Level-synchronous BFS from the roots over the forest's CSR.
     ends = np.concatenate([a, b])
-    order = np.argsort(ends, kind="stable")
+    order = stable_argsort(ends)
     nbr = np.concatenate([b, a])[order]
     edge = np.concatenate([np.arange(a.size)] * 2)[order]
     indptr = np.zeros(n + 1, dtype=np.int64)

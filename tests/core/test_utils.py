@@ -5,10 +5,9 @@ import pytest
 
 from repro.core.utils import (
     concat_ranges,
+    count_distinct,
     segment_first,
     segment_offsets,
-    segmented_count_prefix_minima,
-    segmented_prefix_minima_mask,
 )
 
 
@@ -87,43 +86,21 @@ class TestSegmentFirst:
             assert got[i] == expect, i
 
 
-class TestPrefixMinima:
-    def test_single_group(self):
-        keys = np.array([5, 3, 4, 1, 1])
-        group = np.zeros(5, dtype=int)
-        mask = segmented_prefix_minima_mask(keys, group)
-        assert mask.tolist() == [True, True, False, True, False]
+class TestCountDistinct:
+    def test_table_branch(self):
+        ids = np.array([3, 1, 3, 0, 1])
+        assert count_distinct(ids) == 3
+        assert count_distinct(ids, upper=4) == 3
 
-    def test_multiple_groups_interleaved(self):
-        keys = np.array([5, 9, 3, 8, 4, 7])
-        group = np.array([0, 1, 0, 1, 0, 1])
-        mask = segmented_prefix_minima_mask(keys, group)
-        assert mask.tolist() == [True, True, True, True, False, True]
-
-    def test_count_matches_mask(self):
-        rng = np.random.default_rng(2)
-        keys = rng.integers(0, 100, 200)
-        group = rng.integers(0, 10, 200)
-        assert segmented_count_prefix_minima(keys, group) == int(
-            segmented_prefix_minima_mask(keys, group).sum()
-        )
-
-    def test_matches_naive(self):
-        rng = np.random.default_rng(3)
-        keys = rng.integers(0, 50, 300)
-        group = rng.integers(0, 7, 300)
-        mask = segmented_prefix_minima_mask(keys, group)
-        best: dict[int, int] = {}
-        for i, (k, g) in enumerate(zip(keys, group)):
-            expect = g not in best or k < best[g]
-            assert mask[i] == expect, i
-            if expect:
-                best[g] = k
+    def test_sort_branch_far_above_the_table_bound(self):
+        # upper far above 16 * ids.size (and 2**16): counted by a sort
+        rng = np.random.default_rng(4)
+        ids = rng.integers(0, 2**40, 500)
+        ids[::3] = ids[1]
+        upper = 2**40
+        assert upper > 16 * ids.size
+        assert count_distinct(ids, upper) == len(set(ids.tolist()))
+        assert count_distinct(ids) == len(set(ids.tolist()))
 
     def test_empty(self):
-        assert segmented_count_prefix_minima(
-            np.array([], dtype=int), np.array([], dtype=int)) == 0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            segmented_prefix_minima_mask(np.array([1]), np.array([1, 2]))
+        assert count_distinct(np.array([], dtype=np.int64), 2**40) == 0

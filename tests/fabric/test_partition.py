@@ -76,6 +76,36 @@ class TestRegistry:
         finally:
             del PARTITIONERS["broken"]
 
+    @pytest.mark.parametrize("bad, match", [
+        # a short edge_card would drop edges from every shard
+        (lambda n, m, c: (np.zeros(m - 5, np.int64), np.zeros(n, np.int64)),
+         r"'malformed' returned edge_card of shape \(96,\), expected "
+         r"\(101,\)"),
+        (lambda n, m, c: (np.zeros((m, 1), np.int64), np.zeros(n, np.int64)),
+         r"edge_card of shape \(101, 1\)"),
+        (lambda n, m, c: (np.zeros(m, np.int64), np.zeros(3, np.int64)),
+         r"'malformed' returned vertex_card of shape \(3,\), expected "
+         r"\(64,\)"),
+        (lambda n, m, c: (np.zeros(m, np.int64), np.full(n, c, np.int64)),
+         "out-of-range card id in vertex_card"),
+        (lambda n, m, c: (np.zeros(m, np.int64), np.full(n, -1, np.int64)),
+         "out-of-range card id in vertex_card"),
+    ], ids=["short-edge-card", "2d-edge-card", "short-vertex-card",
+            "vertex-card-past-cards", "negative-vertex-card"])
+    def test_malformed_output_rejected(self, bad, match):
+        @register_partitioner("malformed", "wrong shape or card ids")
+        def _plan(n, u, v, num_cards):
+            return (*bad(n, u.size, num_cards), {})
+
+        try:
+            g = road_lattice(8, 8, rng=2)
+            u, v = _endpoints(g)
+            assert (g.num_vertices, g.num_edges) == (64, 101)
+            with pytest.raises(ValueError, match=match):
+                plan_edges(g.num_vertices, u, v, 2, partitioner="malformed")
+        finally:
+            del PARTITIONERS["malformed"]
+
 
 class TestExactPartition:
     @pytest.mark.parametrize("name", ALL)

@@ -3,7 +3,8 @@ the reduction tree.
 
 The invariants the fabric rides on, checked over random graphs:
 
-1. every undirected edge is assigned to exactly one card;
+1. every undirected edge is assigned to exactly one card, and a
+   plan's stats equal a set-based count;
 2. the union of per-card shards reconstructs the input CSR
    byte-for-byte (rebuild from the concatenated shards and compare
    every CSR array);
@@ -11,7 +12,7 @@ The invariants the fabric rides on, checked over random graphs:
    partitioners;
 4. the batched per-round reducer keeps, for every candidate set, the
    forest Kruskal keeps, and a fixed lattice's reduce rounds send the
-   pinned message records.
+   pinned message records with the pinned modelled figures.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Amst, AmstConfig
-from repro.fabric import plan_edges, run_fabric
+from repro.fabric import list_partitioners, plan_edges, run_fabric
 from repro.fabric.fabric import _round_forests
 from repro.graph import from_edges, road_lattice
 from repro.graph.builders import from_arrays
@@ -75,6 +76,55 @@ class TestExactEdgePartition:
                               np.arange(g.num_edges))
         counts = np.bincount(plan.edge_card, minlength=cards)
         assert np.array_equal(np.diff(bounds), counts[:cards])
+
+
+def _brute_stats(u, v, edge_card, vertex_card, cards):
+    """The plan's figures by sets and counters, one edge at a time."""
+    per_card = [0] * cards
+    for c in edge_card:
+        per_card[c] += 1
+    pairs = {(x, c) for a, b, c in zip(u, v, edge_card) for x in (a, b)}
+    touched = {x for a, b in zip(u, v) for x in (a, b)}
+    return {
+        "cut_edges": sum(vertex_card[a] != vertex_card[b]
+                         for a, b in zip(u, v)),
+        "max_card_edges": max(per_card),
+        "empty_cards": per_card.count(0),
+        "vertex_replication": len(pairs) / len(touched) if touched else 0.0,
+    }
+
+
+@st.composite
+def stats_cases(draw):
+    """Small or sparse graphs (many isolated vertices, ``m = 0``), one
+    card or more cards than vertices, every registered partitioner."""
+    n = draw(st.one_of(st.integers(1, 24), st.integers(4096, 5000)))
+    m = draw(st.integers(0, 40))
+    ends = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    g = from_edges(n, np.array(draw(ends), int), np.array(draw(ends), int),
+                   np.arange(1.0, m + 1))
+    name = draw(st.sampled_from(list_partitioners()))
+    cards = draw(st.sampled_from([1, 2, 3, 4, 9, 16, 30]))
+    if name == "grid2d" and cards in (2, 3):
+        cards = 4  # grid2d needs a composite count
+    return g, cards, name
+
+
+class TestPartitionStats:
+    @settings(max_examples=100, deadline=None)
+    @given(stats_cases())
+    def test_matches_brute_force(self, case):
+        g, cards, name = case
+        u, v, _ = g.edge_endpoints()
+        plan = plan_edges(g.num_vertices, u, v, cards, partitioner=name)
+        s = plan.stats
+        want = _brute_stats(u.tolist(), v.tolist(), plan.edge_card.tolist(),
+                            plan.vertex_card.tolist(), cards)
+        assert (s.num_cards, s.num_edges) == (cards, g.num_edges)
+        assert s.cut_edges == want["cut_edges"]
+        assert s.max_card_edges == want["max_card_edges"]
+        assert s.empty_cards == want["empty_cards"]
+        assert s.vertex_replication == want["vertex_replication"]
 
 
 class TestShardUnionReconstructsCsr:
@@ -187,6 +237,68 @@ PINNED_MESSAGES = {
 }
 
 
+#: the same runs' modelled figures: partition stats, network report,
+#: per-card and merge cycles (none of them may move without a model
+#: change)
+PINNED_FIGURES = {
+    5: {
+        "stats": {
+            "num_cards": 5, "num_edges": 101, "cut_edges": 32,
+            "cut_fraction": 0.31683168316831684, "max_card_edges": 24,
+            "mean_card_edges": 20.2, "balance": 1.188118811881188,
+            "empty_cards": 0, "vertex_replication": 1.390625,
+        },
+        "network": {
+            "profile": "pcie3", "topology": "host-star",
+            "total_seconds": 1.4430333333333333e-05,
+            "scatter_seconds": 2.1143333333333332e-06,
+            "reduce_seconds": 1.2315999999999999e-05,
+            "total_messages": 16, "total_bytes": 3268,
+            "rounds": [
+                {"label": "scatter", "messages": 5, "bytes": 1372,
+                 "seconds": 2.1143333333333332e-06},
+                {"label": "reduce-0", "messages": 6, "bytes": 944,
+                 "seconds": 4.157333333333333e-06},
+                {"label": "reduce-1", "messages": 3, "bytes": 720,
+                 "seconds": 4.1199999999999995e-06},
+                {"label": "reduce-2", "messages": 2, "bytes": 232,
+                 "seconds": 4.0386666666666666e-06},
+            ],
+        },
+        "card_cycles": [1046.1875, 1065.475, 805.8125, 808.75, 762.9375],
+        "merge_cycles": 1447.7625,
+    },
+    8: {
+        "stats": {
+            "num_cards": 8, "num_edges": 101, "cut_edges": 48,
+            "cut_fraction": 0.4752475247524752, "max_card_edges": 15,
+            "mean_card_edges": 12.625, "balance": 1.188118811881188,
+            "empty_cards": 0, "vertex_replication": 1.6875,
+        },
+        "network": {
+            "profile": "pcie3", "topology": "host-star",
+            "total_seconds": 1.4579666666666665e-05,
+            "scatter_seconds": 2.1223333333333334e-06,
+            "reduce_seconds": 1.2457333333333334e-05,
+            "total_messages": 28, "total_bytes": 4212,
+            "rounds": [
+                {"label": "scatter", "messages": 8, "bytes": 1468,
+                 "seconds": 2.1223333333333334e-06},
+                {"label": "reduce-0", "messages": 11, "bytes": 1184,
+                 "seconds": 4.197333333333333e-06},
+                {"label": "reduce-1", "messages": 6, "bytes": 860,
+                 "seconds": 4.143333333333333e-06},
+                {"label": "reduce-2", "messages": 3, "bytes": 700,
+                 "seconds": 4.1166666666666665e-06},
+            ],
+        },
+        "card_cycles": [1028.25, 769.3125, 1039.0, 773.3125, 1023.625,
+                        781.6875, 777.125, 739.4375],
+        "merge_cycles": 1487.225,
+    },
+}
+
+
 class TestPinnedReduceMessages:
     @pytest.mark.parametrize("cards", sorted(PINNED_MESSAGES))
     def test_round_messages_unchanged(self, cards):
@@ -194,3 +306,10 @@ class TestPinnedReduceMessages:
         got = [[(m.kind, m.src, m.dst, m.records) for m in rnd.messages]
                for rnd in run.rounds[1:]]
         assert got == PINNED_MESSAGES[cards]
+        pinned = PINNED_FIGURES[cards]
+        assert run.plan.stats.to_dict() == pinned["stats"]
+        assert run.network.to_dict() == pinned["network"]
+        assert [r.total_cycles for r in run.local_reports] == \
+            pinned["card_cycles"]
+        assert run.merge_output.report.total_cycles == \
+            pinned["merge_cycles"]

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.graph import CSRGraph, from_edges, paper_example, path_graph
-from repro.graph.csr import weight_eid_order
+from repro.graph.csr import stable_argsort, weight_eid_order
 from repro.verify.strategies import graphs
 
 PROPERTY = settings(max_examples=200, deadline=None,
@@ -16,6 +16,27 @@ PROPERTY = settings(max_examples=200, deadline=None,
 
 #: weights where an argsort alone is ambiguous or NaN-ordered
 SPECIAL_WEIGHTS = (-0.0, 0.0, 1.0, 1.5, np.nan, np.inf, -np.inf)
+
+INT_DTYPES = (np.int8, np.int16, np.int32, np.int64,
+              np.uint8, np.uint16, np.uint32, np.uint64)
+#: key spans at the 8- and 16-bit bounds (each +-1) and wide ones, up
+#: to the whole int64 / uint64 range, which overflow the packed key
+SPANS = (0, 1, 2**8 - 1, 2**8, 2**8 + 1, 2**16 - 1, 2**16, 2**16 + 1,
+         2**40, 2**57, 2**62, 2**63 - 1, 2**64 - 1)
+
+
+@st.composite
+def int_keys(draw):
+    """Integer keys of any width and sign, spanning a drawn range exactly,
+    mostly repeated values (so stability shows)."""
+    span = draw(st.sampled_from(SPANS))
+    dtype = draw(st.sampled_from([
+        d for d in INT_DTYPES if np.iinfo(d).max >= span + np.iinfo(d).min]))
+    info = np.iinfo(dtype)
+    lo = draw(st.integers(int(info.min), int(info.max) - span))
+    pool = [0, span] + draw(st.lists(st.integers(0, span), max_size=6))
+    offsets = draw(st.lists(st.sampled_from(pool), max_size=300))
+    return np.array([lo + x for x in offsets], dtype=dtype)
 
 
 def _simple():
@@ -214,6 +235,39 @@ class TestWeightEidOrder:
     def test_empty(self):
         got = weight_eid_order(np.empty(0), np.empty(0, np.int64))
         assert got.size == 0
+
+
+class TestStableArgsort:
+    @PROPERTY
+    @given(int_keys())
+    def test_equals_numpy_stable_argsort(self, keys):
+        got = stable_argsort(keys)
+        want = np.argsort(keys, kind="stable")
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("keys", [
+        np.empty(0, np.int64), np.array([7]), np.full(50, -3),
+        np.array([2**63 - 1, -2**63, 0, -2**63, 2**63 - 1]),
+        np.array([2**64 - 1, 0, 2**63, 2**64 - 1], dtype=np.uint64),
+        np.array([2.5, 1.0, 2.5]),  # not integers: NumPy's own sort
+        np.array([[3, 1, 2], [0, 5, 4]]),  # 2-D: sorted along each row
+    ])
+    def test_edge_cases(self, keys):
+        want = np.argsort(keys, kind="stable")
+        assert stable_argsort(keys).tobytes() == want.tobytes()
+
+    def test_index_packed_across_chunks(self):
+        # longer than three index chunks, ties across the whole array
+        keys = np.random.default_rng(0).integers(-2**30, 2**30,
+                                                 3 * 2**16 + 5)
+        keys[::7] = keys[3]
+        assert np.array_equal(stable_argsort(keys),
+                              np.argsort(keys, kind="stable"))
+
+    def test_sorted_keys_return_the_identity(self):
+        keys = np.repeat(np.arange(-5, 5), 3)
+        assert stable_argsort(keys).tolist() == list(range(keys.size))
 
 
 class TestPickle:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.baselines import counted_boruvka
 from repro.core import Amst, AmstConfig, bitonic_sort_pairs
-from repro.core.utils import segmented_prefix_minima_mask
 from repro.graph import from_edges
 from repro.memory import BankedParentCache, HashHDVCache
 from repro.mst import (
@@ -150,22 +149,6 @@ class TestHashCache:
                 if owners.get(vid % capacity) == vid:
                     del owners[vid % capacity]
                 cache.mark_dead(np.array([vid]))
-
-
-class TestPrefixMinima:
-    @SLOW
-    @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 99)),
-                    max_size=60))
-    def test_matches_sequential_filter(self, items):
-        group = np.array([g for g, _ in items], dtype=np.int64)
-        keys = np.array([k for _, k in items], dtype=np.int64)
-        mask = segmented_prefix_minima_mask(keys, group)
-        best = {}
-        for i, (g, k) in enumerate(items):
-            expect = g not in best or k < best[g]
-            assert bool(mask[i]) == expect
-            if expect:
-                best[g] = k
 
 
 @st.composite
