@@ -95,7 +95,13 @@ class Amst:
         run, so every timer section is also a span.  It is strictly
         read-only: the result is byte-identical with telemetry on or
         off.
+
+        Weights may be any float but NaN and +inf: the MinEdge table
+        holds +inf for "no edge yet", so such an edge could never be
+        committed.  A graph that has one raises :class:`ValueError`
+        naming the first such undirected edge id, before preprocessing.
         """
+        _check_weights(graph)
         cfg = self.config
         tel = telemetry if telemetry is not None else current_telemetry()
         run_scope = (
@@ -222,6 +228,17 @@ class Amst:
             preprocess=preprocessed,
             state=state,
         )
+
+
+def _check_weights(graph: CSRGraph) -> None:
+    """Reject a NaN or +inf weight (a NaN maximum fails the test too)."""
+    w = graph.weight
+    if w.size and not w.max() < np.inf:
+        bad = np.flatnonzero(~(w < np.inf))
+        k = bad[np.argmin(graph.eid[bad])]
+        raise ValueError(
+            f"edge {int(graph.eid[k])} has weight {w[k]}; Amst.run needs "
+            "weights below +inf and not NaN")
 
 
 def _check_preprocessed(graph: CSRGraph, g: CSRGraph, cfg: AmstConfig) -> None:

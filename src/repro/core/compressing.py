@@ -25,6 +25,7 @@ import numpy as np
 
 from ..kernels import numpy_impl
 from .events import IterationEvents
+from .selfcheck import SelfCheckError
 from .state import SimState
 
 __all__ = ["CompressOutput", "run_compressing"]
@@ -65,6 +66,12 @@ def run_compressing(
     unresolved = parent[cur] != cur
     max_depth = 1
     while unresolved.any():
+        # a chain among k roots has at most k links: more is a cycle
+        if max_depth > roots.size:
+            raise SelfCheckError(
+                f"iteration {state.iteration}: root chase longer than "
+                f"the {roots.size} roots; Parent cycle "
+                f"{_cycle(parent, int(cur[unresolved][0]))}")
         ids = parent[cur[unresolved]]
         _route_parent_reads(state, ev, ids, "cm.root")
         depth[unresolved] += 1
@@ -150,6 +157,20 @@ def run_compressing(
         num_iv_skipped=num_iv_skipped,
         max_root_depth=max_depth,
     )
+
+
+def _cycle(parent: np.ndarray, v: int) -> str:
+    """The Parent cycle that ``v``'s chain runs into, as ``a -> b -> a``
+    from its smallest id (at most eight links shown)."""
+    seen: dict[int, int] = {}
+    while v not in seen:
+        seen[v] = len(seen)
+        v = int(parent[v])
+    cycle = list(seen)[seen[v]:]
+    i = cycle.index(min(cycle))
+    cycle = cycle[i:] + cycle[:i] + [cycle[i]]
+    shown = " -> ".join(map(str, cycle[:9]))
+    return shown if len(cycle) <= 9 else shown + " -> ..."
 
 
 def _route_parent_reads(

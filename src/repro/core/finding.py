@@ -20,14 +20,17 @@ reference Borůvka's Stage 1 (the per-vertex first external edge in SEW
 order *is* the vertex's minimum, and the network/writer keep the global
 minimum per component).
 
-The host does work in proportion to the edges the FPEs examine.  With
-SEW the segments are scanned in rounds (one HBM edge block of every
-segment, then doubling chunks of the segments that have no external
-edge yet, one ``numpy_impl.fm_scan`` call per round), so a hub's edges
-past its first external one are never flattened.  Without SEW every
-edge is examined and one round takes the whole segments.  The Parent
-lookups still go out in flat order, vertex by vertex with positions
-ascending: the LRU cache's hits depend on that order.
+The host does the work the FPEs model.  With SEW the segments are
+scanned in rounds (one HBM edge block of every segment, then doubling
+chunks of the segments that have no external edge yet, one
+``numpy_impl.fm_scan`` call per round) that only find each vertex's
+first external edge, so a hub's edges past it are never flattened.
+With SIE on too, a scan starts at the vertex's cursor
+(``SimState.scan_from``): its IE-flagged prefix costs flag checks, not
+a flatten.  The Parent lookups and the IE marks are then built from
+per-vertex ranges, already in flat order (vertex by vertex, positions
+ascending), which the LRU cache's hits depend on.  Without SEW every
+edge is examined and one round takes the whole segments.
 """
 
 from __future__ import annotations
@@ -91,74 +94,55 @@ def run_finding(state: SimState, ev: IterationEvents) -> FindingOutput:
                                    cfg.minedge_bytes))
 
     # ---- per-vertex segment scan (Fig 7 Steps ①-⑤) ---------------------
-    # In rounds (module docstring): with SEW one edge block of every
-    # segment, then twice the previous chunk of each segment still
-    # without an external edge; without SEW, whose candidate is the
-    # minimum (weight, eid) external edge, one round of whole segments.
-    # Each round counts its examined edges and keeps two arrays: the
-    # positions whose Parent is looked up (their edge words are fetched)
-    # and the newly intra positions.
+    # With SEW a vertex's candidate is its first external edge: rounds
+    # of segment chunks find it (module docstring), and every position
+    # from the scan start up to it is looked up.  With SIE on the scan
+    # starts at the vertex's cursor (SimState.scan_from): the IE flags
+    # are exactly the prefix before it, so that prefix is flag checks
+    # only and no flag lies at or past it.  Without SEW the candidate is
+    # the minimum (weight, eid) external edge: one round of whole
+    # segments, whose flags need not form a prefix.
     sew = cfg.sort_edges_by_weight
     sie = cfg.skip_intra_edges
     edges_per_block = max(BLOCK_BYTES // cfg.edge_bytes, 1)
-    chunk = edges_per_block
-    found = np.zeros(vs.size, dtype=bool)
-    cand_pos = np.empty(vs.size, dtype=np.int64)  # global half-edge index
-    act = np.arange(vs.size, dtype=np.int64)  # segments still scanning
-    lo = g.indptr[vs]
+    seg_lo = g.indptr[vs]
     end = g.indptr[vs + 1]
-    n_examined = n_skipped_ie = n_external = 0
-    fetched, marked = [], []
-    while act.size:
-        hi = np.minimum(lo + chunk, end) if sew else end
-        lens = hi - lo
-        offsets = segment_offsets(lens)
-        seg_id = np.repeat(np.arange(act.size, dtype=np.int64), lens)
-        flat = concat_ranges(lo, hi)  # global half-edge indices
-        e_dst = g.dst[flat]
+    marked = None
+    if sew:
+        start = state.scan_from[vs] if sie else seg_lo
+        first = _first_external(state, roots_all, src_comp_per_v, start,
+                                end, edges_per_block)
+        found = first < end
+        fetched = concat_ranges(start, first + found)
+        n_skipped_ie = int((start - seg_lo).sum())
+        n_examined = n_skipped_ie + fetched.size
+        n_external = int(np.count_nonzero(found))
+        cand_flat = first[found]
+        if sie:
+            marked = concat_ranges(start, first)
+            state.scan_from[vs] = first
+    else:
+        lens = end - seg_lo
+        seg_id = np.repeat(np.arange(vs.size, dtype=np.int64), lens)
+        flat = concat_ranges(seg_lo, end)  # global half-edge indices
         flags = state.ie[flat] if sie else np.zeros(flat.size, dtype=bool)
         # Functional external test uses resolved roots; the per-lookup
         # cost of chasing stale (frozen IV) parent chains is charged
         # below.
         external = ~flags & (
-            roots_all[e_dst] != src_comp_per_v[act][seg_id])
-        # One kernel call covers the first-external probe, the examined
-        # prefix (SEW stops after the first external edge) and the
-        # candidate pick, for which alone the non-SEW path reads the
-        # weight/eid arrays.
-        if sew:
-            w_flat = np.empty(0, np.float64)
-            eid_flat = np.empty(0, np.int64)
-        else:
-            w_flat = g.weight[flat]
-            eid_flat = g.eid[flat]
+            roots_all[g.dst[flat]] != src_comp_per_v[seg_id])
         with state.timers.section("kernel.fm_scan"):
-            _, hit, exam_end, cand_local = numpy_impl.fm_scan(
-                external, offsets, seg_id, w_flat, eid_flat, sew)
-        examined = np.arange(flat.size) < exam_end[seg_id]
-        lookup = examined & ~flags
-        n_examined += int(np.count_nonzero(examined))
-        n_skipped_ie += int(np.count_nonzero(examined & flags))
-        n_external += int(np.count_nonzero(examined & external))
-        fetched.append(flat[lookup])
+            _, found, _, cand_local = numpy_impl.fm_scan(
+                external, segment_offsets(lens), seg_id, g.weight[flat],
+                g.eid[flat], False)
+        lookup = ~flags
+        fetched = flat[lookup]
+        n_examined = flat.size
+        n_skipped_ie = flat.size - fetched.size
+        n_external = int(np.count_nonzero(external))
+        cand_flat = flat[cand_local[found]]
         if sie:
-            marked.append(flat[lookup & ~external])
-        done = act[hit]
-        found[done] = True
-        cand_pos[done] = flat[cand_local[hit]]
-        more = ~hit & (hi < end)
-        act, lo, end = act[more], hi[more], end[more]
-        chunk *= 2
-    rounds = len(fetched)
-    fetched = _concat(fetched)
-    if rounds > 1:
-        # Back to flat order, vertex by vertex with positions ascending
-        # (ascending half-edge index): the LRU cache's hits depend on the
-        # lookup order.  The positions are distinct, so marking them in
-        # a table and reading it back sorts them in O(2m).
-        in_scan = np.zeros(g.dst.size, dtype=bool)
-        in_scan[fetched] = True
-        fetched = np.flatnonzero(in_scan)
+            marked = flat[lookup & ~external]
     lookup_ids = g.dst[fetched]
 
     # ---- per-edge costs --------------------------------------------------
@@ -198,15 +182,12 @@ def run_finding(state: SimState, ev: IterationEvents) -> FindingOutput:
            state.hbm.access_blocks("fm.edges", num_blocks))
 
     # ---- intra-edge marking (Step 3/6) ----------------------------------
-    if sie:
-        marked = _concat(marked)
-        if marked.size:
-            state.ie[marked] = True
-            ev.add("fm.ie_marks", marked.size)
-            num_wb_blocks = count_distinct(
-                marked // edges_per_block, block_space)
-            ev.add("mem.fm_ie_writeback_blocks",
-                   state.hbm.access_blocks("fm.edges_wb", num_wb_blocks))
+    if marked is not None and marked.size:
+        state.ie[marked] = True
+        ev.add("fm.ie_marks", marked.size)
+        num_wb_blocks = count_distinct(marked // edges_per_block, block_space)
+        ev.add("mem.fm_ie_writeback_blocks",
+               state.hbm.access_blocks("fm.edges_wb", num_wb_blocks))
 
     # ---- intra-vertex detection (Step 7) ---------------------------------
     new_iv_vs = vs[~found]
@@ -228,8 +209,6 @@ def run_finding(state: SimState, ev: IterationEvents) -> FindingOutput:
     # ---- candidate selection ---------------------------------------------
     # The scan already picked each vertex's candidate (SEW: the first
     # external edge; otherwise the minimum (weight, eid) one).
-    cand_flat = cand_pos[found]
-
     cand_comp = src_comp_per_v[found]
     cand_w = g.weight[cand_flat]
     cand_eid = g.eid[cand_flat]
@@ -243,9 +222,40 @@ def run_finding(state: SimState, ev: IterationEvents) -> FindingOutput:
     return FindingOutput(comps, int(cand_comp.size), int(new_iv_vs.size))
 
 
-def _concat(parts: list[np.ndarray]) -> np.ndarray:
-    """One array from a scan's per-round parts; no copy for one round."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _first_external(
+    state: SimState,
+    roots_all: np.ndarray,
+    comp: np.ndarray,
+    lo: np.ndarray,
+    end: np.ndarray,
+    chunk: int,
+) -> np.ndarray:
+    """First half-edge of each segment ``[lo, end)`` whose endpoint lies
+    outside the vertex's component ``comp``, or ``end`` when none does.
+
+    One round per ``numpy_impl.fm_scan`` call: ``chunk`` edges of every
+    segment, then twice the previous chunk of each segment still without
+    an external edge.
+    """
+    dst = state.graph.dst
+    first = end.copy()
+    act = np.flatnonzero(lo < end)  # segments still scanning
+    lo, end = lo[act], end[act]
+    no_ids, no_weights = np.empty(0, np.int64), np.empty(0, np.float64)
+    while act.size:
+        hi = np.minimum(lo + chunk, end)
+        lens = hi - lo
+        flat = concat_ranges(lo, hi)
+        external = roots_all[dst[flat]] != np.repeat(comp[act], lens)
+        with state.timers.section("kernel.fm_scan"):
+            _, hit, _, cand = numpy_impl.fm_scan(
+                external, segment_offsets(lens), no_ids, no_weights,
+                no_ids, True)
+        first[act[hit]] = flat[cand[hit]]
+        more = ~hit & (hi < end)
+        act, lo, end = act[more], hi[more], end[more]
+        chunk *= 2
+    return first
 
 
 def _commit_minedge(

@@ -13,7 +13,8 @@ Three invariant families (see docs/TESTING.md):
 * **union-find shape** — Parent entries in range, pointer chains
   acyclic (bounded pointer doubling), the Root list exactly the set of
   fixed points, frozen IV/IE flags semantically consistent with the
-  current components;
+  current components; with SEW and SIE each vertex's IE flags exactly
+  the prefix of its segment before its scan cursor;
 * **cache conservation laws** — ``hits + misses == accesses``,
   ``cache_writes + dram_writes == writes``, ``evictions <= misses +
   writes``, all counters monotone non-decreasing, and the cumulative
@@ -229,6 +230,23 @@ def check_state_invariants(state, log: EventLog | None = None) -> None:
             problems.append(
                 f"{bad_iv} external half-edge(s) incident to intra-vertices"
             )
+
+    # ---- SEW scan cursor --------------------------------------------------
+    # With SEW and SIE the Finding Module marks IE only up to each
+    # vertex's first external edge and moves the cursor there, so the
+    # flags are exactly the prefix before the cursor.
+    if state.cfg.sort_edges_by_weight and state.cfg.skip_intra_edges:
+        cursor = state.scan_from
+        if ((cursor < g.indptr[:-1]) | (cursor > g.indptr[1:])).any():
+            problems.append("scan cursor outside its vertex's segment")
+        else:
+            prefix = (np.arange(g.num_half_edges)
+                      < cursor[g.src_expanded()])
+            bad = int(np.count_nonzero(prefix != state.ie))
+            if bad:
+                problems.append(
+                    f"{bad} intra-edge flag(s) differ from the prefix "
+                    "before their vertex's scan cursor")
 
     # ---- cache conservation laws -----------------------------------------
     prev = getattr(state, "_selfcheck_prev", None) or {}

@@ -5,7 +5,10 @@ Holds exactly the data structures the RTL holds:
 * the ``Parent`` array, with per-vertex intra-vertex (IV) flag and
   freshness marker (the paper's 6-bit ``it_idx``, here a full iteration
   counter — functionally identical, see Section V-B-2);
-* the per-half-edge intra-edge (IE) flags (Section IV-B-1);
+* the per-half-edge intra-edge (IE) flags (Section IV-B-1), and with
+  SEW and SIE both on each vertex's scan cursor: its IE flags are
+  exactly the prefix ``[indptr[v], scan_from[v])`` of its segment, so
+  the Finding Module starts there;
 * the per-component ``MinEdge`` table (weight / undirected eid / target
   root), reset every iteration;
 * the ``Root`` list and the growing MST output;
@@ -58,6 +61,7 @@ class SimState:
     fresh_at: np.ndarray  # iteration at which parent[v] was last written
     iv: np.ndarray  # intra-vertex flags (bool[n])
     ie: np.ndarray  # intra-edge flags (bool[2m])
+    scan_from: np.ndarray  # SEW scan cursor per vertex (int64[n])
     roots: np.ndarray  # current Root list (int64[k])
     me_weight: np.ndarray  # MinEdge weight per component root
     me_eid: np.ndarray  # MinEdge undirected edge id per root (-1 = null)
@@ -87,6 +91,7 @@ class SimState:
             fresh_at=np.zeros(n, dtype=np.int64),
             iv=np.zeros(n, dtype=bool),
             ie=np.zeros(graph.num_half_edges, dtype=bool),
+            scan_from=graph.indptr[:-1].copy(),
             roots=np.arange(n, dtype=np.int64),
             me_weight=np.full(n, np.inf),
             me_eid=np.full(n, -1, dtype=np.int64),

@@ -48,15 +48,22 @@ def stable_argsort(keys: np.ndarray) -> np.ndarray:
     result.  Wider keys (and any other array) take NumPy's stable sort.
     """
     keys = np.asarray(keys)
-    n = keys.size
-    if n < 2 or keys.ndim != 1 or keys.dtype.kind not in "iu":
+    if keys.size < 2 or keys.ndim != 1 or keys.dtype.kind not in "iu":
         return np.argsort(keys, kind="stable")
+    order = _packed_argsort(keys)
+    return np.argsort(keys, kind="stable") if order is None else order
+
+
+def _packed_argsort(keys: np.ndarray) -> np.ndarray | None:
+    """:func:`stable_argsort` of 1-D integer ``keys`` by one plain sort of
+    the index-packed keys, or None when they would pass ``int64``."""
+    n = keys.size
     if (keys[1:] >= keys[:-1]).all():
         return np.arange(n)
     lo = keys.min()
     bits = (n - 1).bit_length()
     if (int(keys.max()) - int(lo)) >> (63 - bits):  # would pass 2**63 - 1
-        return np.argsort(keys, kind="stable")
+        return None
     packed = np.subtract(keys, lo, dtype=np.int64)
     packed <<= bits
     for start in range(0, n, _INDEX_CHUNK):
@@ -250,8 +257,10 @@ class CSRGraph:
         is what makes mirror detection by eid equality sound.  The ``m``
         undirected edges are ranked once by :func:`weight_eid_order`
         (mates share a weight) and the half-edges sorted by the single
-        key ``src * m + rank``; only the two half-edges of a self-loop
-        share a key, and they are identical.
+        key ``src * m + rank``, packed with its index into one plain
+        sort as :func:`stable_argsort` does (``np.argsort`` when the
+        packed key would pass ``int64``); only the two half-edges of a
+        self-loop share a key, and they are identical.
         ``by_weight=False`` sorts by destination id, the canonical
         adjacency order.
 
@@ -276,7 +285,10 @@ class CSRGraph:
             w[self.eid] = self.weight
             rank = np.empty(m, dtype=np.int64)
             rank[weight_eid_order(w, np.arange(m))] = np.arange(m)
-            order = np.argsort(src * m + rank[self.eid])
+            key = src * m + rank[self.eid]
+            order = _packed_argsort(key)
+            if order is None:
+                order = np.argsort(key)
         else:
             order = np.lexsort((self.weight, dst, src))
         return CSRGraph(

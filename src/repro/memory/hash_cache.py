@@ -16,6 +16,11 @@ slot can be re-claimed by any later vertex that hashes to it:
 Within one vectorized batch of writes, in-order hardware semantics are
 emulated: the first write claiming an empty slot wins; later writes to the
 same slot from a different batch go to DRAM.
+
+Each slot stores its owner's whole address, ``batch * C + slot``, instead
+of the batch id: for an address that maps to the slot, ``owner == addr``
+holds exactly when ``tag == addr // C``, so a hit is one compare and no
+address is divided.  A power-of-two C takes the slot as a bit mask.
 """
 
 from __future__ import annotations
@@ -37,64 +42,68 @@ class HashHDVCache:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.num_vertices = num_vertices
-        # Initially populated with batch 0 == the HDVs (ids < capacity).
-        self._tag = np.zeros(capacity, dtype=np.int64)
-        if num_vertices < capacity:
-            self._tag[num_vertices:] = _EMPTY
-        self.stats = CacheStats()
+        # slot of an address: the low bits when C is a power of two
+        self._mask = capacity - 1 if capacity & (capacity - 1) == 0 else None
+        self._owner = np.empty(capacity, dtype=np.int64)
+        self.reset()
 
     # ------------------------------------------------------------------
-    def _split(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _slots(self, ids: np.ndarray) -> np.ndarray:
+        if self._mask is not None:
+            return ids & self._mask
+        return ids % self.capacity
+
+    def _held(self, ids: np.ndarray) -> np.ndarray:
         ids = np.asarray(ids, dtype=np.int64)
-        return ids % self.capacity, ids // self.capacity
+        return self._owner[self._slots(ids)] == ids
 
     def lookup(self, ids: np.ndarray) -> np.ndarray:
         """Vector of hit flags; misses are DRAM fetches (no fill)."""
-        slots, batches = self._split(ids)
-        hits = self._tag[slots] == batches
+        hits = self._held(ids)
         nh = int(np.count_nonzero(hits))
-        self.stats.accesses += slots.size
+        self.stats.accesses += hits.size
         self.stats.hits += nh
-        self.stats.misses += slots.size - nh
+        self.stats.misses += hits.size - nh
         return hits
 
     def write(self, ids: np.ndarray) -> np.ndarray:
         """Vector of written-to-cache flags, claiming empty slots in order."""
-        slots, batches = self._split(ids)
-        cur = self._tag[slots]
-        empty = cur == _EMPTY
+        ids = np.asarray(ids, dtype=np.int64)
+        slots = self._slots(ids)
+        empty = self._owner[slots] == _EMPTY
         if empty.any():
             pos = np.flatnonzero(empty)
             # First write (in stream order) to each empty slot claims it.
             _, first = np.unique(slots[pos], return_index=True)
             claim = pos[first]
-            self._tag[slots[claim]] = batches[claim]
-        cached = self._tag[slots] == batches
+            self._owner[slots[claim]] = ids[claim]
+        cached = self._owner[slots] == ids
         nc = int(np.count_nonzero(cached))
-        self.stats.writes += slots.size
+        self.stats.writes += ids.size
         self.stats.cache_writes += nc
-        self.stats.dram_writes += slots.size - nc
+        self.stats.dram_writes += ids.size - nc
         return cached
 
     def mark_dead(self, ids: np.ndarray) -> None:
-        """Clear the batch id of dying vertices that currently own a slot."""
-        slots, batches = self._split(ids)
-        owner = self._tag[slots] == batches
-        self._tag[slots[owner]] = _EMPTY
+        """Empty the slots that dying vertices currently own."""
+        ids = np.asarray(ids, dtype=np.int64)
+        slots = self._slots(ids)
+        owner = self._owner[slots] == ids
+        self._owner[slots[owner]] = _EMPTY
         self.stats.invalidations += int(np.count_nonzero(owner))
 
     # ------------------------------------------------------------------
     def contains(self, ids: np.ndarray) -> np.ndarray:
         """Hit predicate without touching the counters."""
-        slots, batches = self._split(ids)
-        return self._tag[slots] == batches
+        return self._held(ids)
 
     def utilization(self) -> float:
         """Fraction of slots holding live data (Fig 10a/b, hash series)."""
-        return float(np.count_nonzero(self._tag != _EMPTY)) / self.capacity
+        return float(np.count_nonzero(self._owner != _EMPTY)) / self.capacity
 
     def reset(self) -> None:
-        self._tag[:] = 0
-        if self.num_vertices < self.capacity:
-            self._tag[self.num_vertices:] = _EMPTY
+        # batch 0 == the HDVs: vertex s owns slot s
+        held = min(self.num_vertices, self.capacity)
+        self._owner[:held] = np.arange(held)
+        self._owner[held:] = _EMPTY
         self.stats = CacheStats()

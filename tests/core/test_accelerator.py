@@ -110,6 +110,43 @@ class TestEdgeCases:
         validate_mst(paper_example(), out.result)
 
 
+def _bridged_triangles(bridge_weight):
+    """Triangles 0-1-2 and 3-4-5 joined by the bridge 2-3; returns the
+    graph and the bridge's undirected edge id."""
+    g = from_edges(6, np.array([0, 1, 2, 3, 4, 5, 2]),
+                   np.array([1, 2, 0, 4, 5, 3, 3]),
+                   np.array([1.0, 2.0, 3.0, 1.0, 2.0, 3.0, bridge_weight]))
+    u, v, _ = g.edge_endpoints()
+    return g, int(np.flatnonzero((u == 2) & (v == 3))[0])
+
+
+WEIGHT_CONTRACT_CFGS = ("full", "no-sew", "baseline")
+
+
+class TestWeightContract:
+    """NaN and +inf weights are rejected: the MinEdge table's "no edge
+    yet" is +inf, so such an edge could never be committed."""
+
+    @pytest.mark.parametrize("cfg_name", WEIGHT_CONTRACT_CFGS)
+    @pytest.mark.parametrize("w", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nan_or_inf_weight_raises(self, w, cfg_name):
+        g, bridge = _bridged_triangles(w)
+        with pytest.raises(ValueError, match=f"edge {bridge} has weight"):
+            Amst(CFG_MATRIX[cfg_name]).run(g)
+
+    @pytest.mark.parametrize("cfg_name", WEIGHT_CONTRACT_CFGS)
+    @pytest.mark.parametrize("w", [-np.inf, -2.5, -0.0],
+                             ids=["-inf", "negative", "-0.0"])
+    def test_other_weights_match_kruskal(self, w, cfg_name):
+        g, bridge = _bridged_triangles(w)
+        out = Amst(CFG_MATRIX[cfg_name]).run(g)
+        ref = kruskal(g)
+        assert np.array_equal(np.sort(out.result.edge_ids),
+                              np.sort(ref.edge_ids))
+        assert bridge in out.result.edge_ids
+        assert out.result.num_components == 1
+
+
 class TestSharedPreprocessing:
     def test_preprocessed_reuse_gives_same_result(self):
         g = rmat(8, 6, rng=5)

@@ -2,9 +2,12 @@
 
 `reference_finding_pass` executes Fig 7 literally, one vertex at a time;
 the vectorized `run_finding` must produce identical flags, identical
-per-component minima and identical operation counts — on a fresh state
-and on mid-run states (after k completed iterations).
+per-component minima, identical operation counts and the same Parent
+lookups in the same order — on a fresh state and on mid-run states
+(after k completed iterations).
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -31,25 +34,56 @@ def _mid_state(graph, cfg, k):
     return out.state
 
 
+class _LookupRecorder:
+    """Passes cache calls through, keeping the ids of every lookup."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.lookups = []
+
+    def lookup(self, ids):
+        self.lookups.append(np.array(ids, copy=True))
+        return self._inner.lookup(ids)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
 def _compare(state):
     """Run both models from identical state; assert equivalence."""
     g = state.graph
     cfg = state.cfg
+    sie = cfg.skip_intra_edges
     # reference works on copies
     ref_parent = state.parent.copy()
     ref_ie = state.ie.copy()
     ref_iv = state.iv.copy()
+    ie_before = state.ie.copy()
     ref = reference_finding_pass(
         g, ref_parent, ref_ie, ref_iv,
-        sew=cfg.sort_edges_by_weight, sie=cfg.skip_intra_edges,
+        sew=cfg.sort_edges_by_weight, sie=sie,
         siv=cfg.skip_intra_vertices,
     )
+    cache_before = copy.deepcopy(state.parent_cache)
+    state.parent_cache = recorder = _LookupRecorder(state.parent_cache)
     ev = IterationEvents(0)
     run_finding(state, ev)
 
     # flags evolve identically
     assert np.array_equal(state.ie, ref_ie)
     assert np.array_equal(state.iv, ref_iv)
+
+    # the first-read Parent lookups go out vertex by vertex, positions
+    # ascending: every examined edge the FPE did not skip by its flag
+    looked_up = [k for r in ref
+                 for k in range(g.indptr[r.vertex],
+                                g.indptr[r.vertex] + r.edges_examined)
+                 if not (sie and ie_before[k])]
+    want_ids = g.dst[np.array(looked_up, dtype=np.int64)]
+    assert recorder.lookups[0].tobytes() == want_ids.tobytes()
+    # so an order-sensitive (LRU) cache scores the same hits
+    assert ev.get("fm.parent_hits") == int(
+        np.count_nonzero(cache_before.lookup(want_ids)))
 
     # identical op counts
     assert ev.get("fm.edges_examined") == sum(r.edges_examined for r in ref)
@@ -111,6 +145,35 @@ def test_no_sie_never_marks_flags():
     state = _mid_state(rmat(8, 6, rng=15), cfg, 2)
     _compare(state)
     assert not state.ie.any()
+
+
+#: configurations whose every iteration is checked: SIV off reschedules
+#: intra-vertices, whose SEW scan cursor sits at their segment end; the
+#: LRU cache's hits depend on the lookup order
+EVERY_ITERATION = {
+    "sew-sie-no-siv": AmstConfig.full(4, cache_vertices=16).with_(
+        skip_intra_vertices=False),
+    "lru": AmstConfig.full(4, cache_vertices=16).with_(
+        hash_cache=False, lru_cache=True),
+}
+
+
+@pytest.mark.parametrize("name", list(EVERY_ITERATION))
+def test_every_iteration_matches_scalar_spec(name):
+    cfg = EVERY_ITERATION[name]
+    g = rmat(8, 6, rng=16)
+    iterations = Amst(cfg).run(g).result.iterations
+    assert iterations >= 3
+    cursor_at_end = 0
+    for k in range(iterations + 1):
+        state = _mid_state(g, cfg, k)
+        seg_end = state.graph.indptr[1:]
+        cursor_at_end += int(np.count_nonzero(
+            state.iv & (state.scan_from == seg_end)
+            & (state.graph.degrees() > 0)))
+        _compare(state)
+    if not cfg.skip_intra_vertices:
+        assert cursor_at_end > 0
 
 
 def _hub_stars():

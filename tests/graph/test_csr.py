@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.graph import CSRGraph, from_edges, paper_example, path_graph
+from repro.graph import csr as csr_module
 from repro.graph.csr import stable_argsort, weight_eid_order
 from repro.verify.strategies import graphs
 
@@ -196,6 +197,32 @@ class TestTransforms:
         assert s.dst.tobytes() == g.dst[ref].tobytes()
         assert s.weight.tobytes() == g.weight[ref].tobytes()
         assert s.eid.tobytes() == g.eid[ref].tobytes()
+
+    @pytest.mark.parametrize("packed", [True, False],
+                             ids=["packed", "argsort-fallback"])
+    @pytest.mark.parametrize("relabel", [False, True],
+                             ids=["same-ids", "perm"])
+    def test_sort_edges_by_weight_loops_and_parallel_edges(
+            self, monkeypatch, packed, relabel):
+        # self-loops (two identical halves share a key), parallel edges
+        # of equal and unequal weight, and every special weight; without
+        # the packed key (past int64) np.argsort sorts the same key
+        if not packed:
+            monkeypatch.setattr(csr_module, "_packed_argsort",
+                                lambda keys: None)
+        pool = np.array(SPECIAL_WEIGHTS)
+        u = np.array([0, 1, 1, 2, 2, 2, 3, 0, 4, 4, 1, 3, 0, 2])
+        v = np.array([1, 1, 2, 0, 0, 2, 0, 1, 4, 3, 2, 3, 0, 1])
+        g = from_edges(5, u, v, pool[np.arange(u.size) % pool.size],
+                       dedup=False)
+        perm = np.array([3, 0, 4, 1, 2]) if relabel else None
+        s = g.sort_edges(by_weight=True, perm=perm)
+        h = g.permute(perm) if relabel else g
+        ref = np.lexsort((h.eid, h.weight, h.src_expanded()))
+        assert s.indptr.tobytes() == h.indptr.tobytes()
+        assert s.dst.tobytes() == h.dst[ref].tobytes()
+        assert s.weight.tobytes() == h.weight[ref].tobytes()
+        assert s.eid.tobytes() == h.eid[ref].tobytes()
 
     def test_reweight(self):
         g = _simple()

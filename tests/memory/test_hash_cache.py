@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.memory import HashHDVCache
+from repro.memory import CacheStats, HashHDVCache
 
 
 class TestInit:
@@ -114,3 +116,93 @@ class TestCacheStats:
         from repro.memory import CacheStats
 
         assert CacheStats().hit_rate == 0.0
+
+
+class BatchTagModel:
+    """The batch-tag cache one access at a time: slot ``id % C`` holds
+    the batch id ``id // C`` of its owner, or -1 when empty."""
+
+    def __init__(self, capacity, num_vertices):
+        self.capacity = capacity
+        self.num_vertices = num_vertices
+        self.reset()
+
+    def reset(self):
+        self.tag = [0 if s < self.num_vertices else -1
+                    for s in range(self.capacity)]
+        self.stats = CacheStats()
+
+    def _held(self, v):
+        slot, batch = divmod(v, self.capacity)[::-1]
+        return self.tag[slot] == batch
+
+    def lookup(self, ids):
+        hits = [self._held(v) for v in ids]
+        self.stats.accesses += len(ids)
+        self.stats.hits += sum(hits)
+        self.stats.misses += len(ids) - sum(hits)
+        return hits
+
+    def write(self, ids):
+        cached = []
+        for v in ids:
+            slot, batch = v % self.capacity, v // self.capacity
+            if self.tag[slot] == -1:  # the first write claims an empty slot
+                self.tag[slot] = batch
+            cached.append(self.tag[slot] == batch)
+        self.stats.writes += len(ids)
+        self.stats.cache_writes += sum(cached)
+        self.stats.dram_writes += len(ids) - sum(cached)
+        return cached
+
+    def mark_dead(self, ids):
+        # every id is tested against the slots as the call found them
+        owned = [v for v in ids if self._held(v)]
+        for v in owned:
+            self.tag[v % self.capacity] = -1
+        self.stats.invalidations += len(owned)
+
+    def utilization(self):
+        return sum(t != -1 for t in self.tag) / self.capacity
+
+
+@st.composite
+def cache_sessions(draw):
+    """A capacity, a vertex count below or above it, and a list of
+    operations over ids that share few slots (repeats within a batch)."""
+    capacity = draw(st.sampled_from([1, 2, 5, 16, 4096, 5000]))
+    n = draw(st.one_of(st.integers(1, capacity),
+                       st.integers(capacity + 1, 4 * capacity + 3)))
+    slots = draw(st.lists(st.integers(0, min(capacity, n) - 1),
+                          min_size=1, max_size=3))
+    batches = range((n - 1) // capacity + 1)
+    pool = sorted({b * capacity + s for b in batches for s in slots
+                   if b * capacity + s < n})
+    ids = st.lists(st.sampled_from(pool), max_size=12)
+    ops = draw(st.lists(st.one_of(
+        st.tuples(st.sampled_from(["lookup", "write", "mark_dead"]), ids),
+        st.just(("reset", []))), max_size=25))
+    return capacity, n, pool, ops
+
+
+class TestAgainstScalarModel:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(cache_sessions())
+    def test_matches_batch_tag_model(self, session):
+        capacity, n, pool, ops = session
+        cache = HashHDVCache(capacity, n)
+        model = BatchTagModel(capacity, n)
+        for op, ids in ops:
+            if op == "reset":
+                cache.reset()
+                model.reset()
+            else:
+                got = getattr(cache, op)(np.array(ids, dtype=np.int64))
+                want = getattr(model, op)(ids)
+            if op in ("lookup", "write"):
+                assert np.asarray(got).tolist() == want, op
+            assert cache.stats == model.stats, op
+            assert cache.utilization() == model.utilization()
+            assert cache.contains(np.array(pool)).tolist() == [
+                model._held(v) for v in pool]
